@@ -1,17 +1,17 @@
-//! Replica cold-start cost: how long it takes to turn a snapshot blob back
-//! into a serving `IndexedGraph`, v1 versus the v2 flat-arena layout, at
-//! two world sizes.
+//! Replica cold-start cost: how long it takes to turn a flat-arena
+//! snapshot blob back into a serving `IndexedGraph`, at two world sizes.
 //!
-//! * `encode_v1` / `encode_v2` — serializing the index into each format.
-//! * `decode_install_v1` — the legacy path: parse the length-prefixed v1
-//!   blob (per-row reads, grouping passes) and **rebuild the inverted
-//!   indexes from the labels** — the dominant cold-start term.
-//! * `decode_install_v2` — the arena path: one whole-length check, then
-//!   bounds-checked reinterpretation of the CSR slabs; the inverted
-//!   indexes travel inside the blob, so nothing is rebuilt.
+//! * `encode_v2` — serializing the index into the blob.
+//! * `decode_install_v2` — one whole-length check, then bounds-checked
+//!   reinterpretation of the CSR slabs; the inverted indexes and bound
+//!   tables travel inside the blob, so nothing is rebuilt.
+//!
+//! The keys keep their `BENCH_8.json` spelling (`_v2` is the blob's format
+//! byte) so the ledger history stays comparable; the rebuild-on-install
+//! format they were measured against there no longer exists.
 //!
 //! Worlds: `1x` is the repo's standard 16×16 grid bench world; `10x` is a
-//! 50×51 grid (~10× the vertices) to show the gap widening with size.
+//! 50×51 grid (~10× the vertices).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -32,24 +32,14 @@ fn snapshot_cold_start(c: &mut Criterion) {
 
     for (label, w, h) in [("1x", 16u32, 16u32), ("10x", 50, 51)] {
         let ig = world(w, h, 13);
-        let v1 = ig.encode_snapshot_v1().expect("world fits v1");
         let v2 = ig.encode_snapshot();
 
-        group.bench_function(format!("encode_v1/{label}"), |b| {
-            b.iter(|| criterion::black_box(ig.encode_snapshot_v1().unwrap()));
-        });
         group.bench_function(format!("encode_v2/{label}"), |b| {
             b.iter(|| criterion::black_box(ig.encode_snapshot()));
         });
         // `iter_with_large_drop`: installing a snapshot produces the new
         // index — tearing one down afterwards is the *previous* epoch's
-        // cost, so the drop stays outside the measured window (for both
-        // formats alike).
-        group.bench_function(format!("decode_install_v1/{label}"), |b| {
-            b.iter_with_large_drop(|| {
-                IndexedGraph::decode_snapshot(criterion::black_box(&v1)).unwrap()
-            });
-        });
+        // cost, so the drop stays outside the measured window.
         group.bench_function(format!("decode_install_v2/{label}"), |b| {
             b.iter_with_large_drop(|| {
                 IndexedGraph::decode_snapshot(criterion::black_box(&v2)).unwrap()

@@ -367,83 +367,44 @@ impl IndexedGraph {
         kosr_index::disk::create(path, &self.labels, self.graph.categories())
     }
 
-    /// Serializes the full index into one **v2 flat-arena** snapshot blob
+    /// Serializes the full index into one flat-arena snapshot blob
     /// ([`kosr_index::arena`]) — what the shard transport ships to a cold
     /// replica joining a shard. The blob carries the inverted label
-    /// indexes too, so installing it is a bounds-checked reinterpretation
-    /// with no rebuild of any kind.
+    /// indexes and the bound tables too, so installing it is a
+    /// bounds-checked reinterpretation with no rebuild of any kind.
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        kosr_index::arena::encode_snapshot_v2_with_bounds(
-            &self.graph,
-            &self.labels,
-            &self.inverted,
-            &self.bounds,
-        )
+        kosr_index::arena::encode(&self.graph, &self.labels, &self.inverted, &self.bounds)
     }
 
-    /// Serializes the graph + 2-hop labels into the legacy **v1** snapshot
-    /// format ([`kosr_index::snapshot`]) — the negotiated fallback for
-    /// fleet peers that predate the flat-arena format. Worlds whose counts
-    /// exceed v1's `u32` fields are refused with a typed
-    /// [`SnapshotError::TooLarge`](kosr_index::snapshot::SnapshotError::TooLarge)
-    /// instead of being silently truncated.
-    pub fn encode_snapshot_v1(&self) -> Result<Vec<u8>, kosr_index::snapshot::SnapshotError> {
-        kosr_index::snapshot::encode_snapshot(&self.graph, &self.labels)
-    }
-
-    /// Reconstructs an `IndexedGraph` from a snapshot blob of **either**
-    /// format, dispatching on the version byte:
-    ///
-    /// * **v2** ([`kosr_index::arena`]): every structure — graph CSR,
-    ///   labels, category tables, inverted indexes — is sliced straight
-    ///   out of the validated arenas; no grouping pass runs at all.
-    /// * **v1** ([`kosr_index::snapshot`]): the inverted label indexes are
-    ///   rebuilt from the decoded `(labels, categories)` pair — a cheap
-    ///   grouping pass that reproduces the source's maintained indexes
-    ///   entry for entry.
-    ///
-    /// Either way query results and selectivity stats are preserved
-    /// exactly. The label build statistics cannot be recovered from a
-    /// blob; the decoded index reports its label-entry count with zeroed
-    /// build effort.
+    /// Reconstructs an `IndexedGraph` from a snapshot blob: every
+    /// structure — graph CSR, labels, category tables, inverted indexes,
+    /// bound tables — is sliced straight out of the validated arenas, so
+    /// query results and selectivity stats are preserved exactly. The
+    /// label build statistics cannot be recovered from a blob; the decoded
+    /// index reports its label-entry count with zeroed build effort.
     pub fn decode_snapshot(
         bytes: &[u8],
     ) -> Result<IndexedGraph, kosr_index::snapshot::SnapshotError> {
-        let (graph, labels, inverted, bounds, inverted_stats) =
-            if kosr_index::arena::blob_version(bytes)
-                == Some(kosr_index::arena::FLAT_SNAPSHOT_VERSION)
-            {
-                let start = std::time::Instant::now();
-                let (graph, labels, inverted, bounds) =
-                    kosr_index::arena::decode_snapshot_v2_full(bytes)?;
-                // The accepted header already carries the fleet-wide list
-                // and entry totals; reading them back beats re-walking the
-                // per-category hash maps the decode just built.
-                let (total_lists, total_entries) =
-                    kosr_index::arena::blob_inverted_counts(bytes).unwrap_or((0, 0));
-                let nc = inverted.num_categories().max(1);
-                let stats = kosr_index::InvertedStats {
-                    build_time: start.elapsed(),
-                    avg_entries_per_category: total_entries as f64 / nc as f64,
-                    avg_list_len: if total_lists == 0 {
-                        0.0
-                    } else {
-                        total_entries as f64 / total_lists as f64
-                    },
-                    size_bytes: total_entries as usize
-                        * (std::mem::size_of::<kosr_graph::VertexId>()
-                            + std::mem::size_of::<kosr_graph::Weight>()),
-                };
-                (graph, labels, inverted, bounds, stats)
+        let start = std::time::Instant::now();
+        let (graph, labels, inverted, bounds) = kosr_index::arena::decode(bytes)?;
+        // The accepted header already carries the fleet-wide list and
+        // entry totals; reading them back beats re-walking the
+        // per-category hash maps the decode just built.
+        let (total_lists, total_entries) =
+            kosr_index::arena::blob_inverted_counts(bytes).unwrap_or((0, 0));
+        let nc = inverted.num_categories().max(1);
+        let inverted_stats = kosr_index::InvertedStats {
+            build_time: start.elapsed(),
+            avg_entries_per_category: total_entries as f64 / nc as f64,
+            avg_list_len: if total_lists == 0 {
+                0.0
             } else {
-                let (graph, labels) = kosr_index::snapshot::decode_snapshot(bytes)?;
-                let (inverted, stats) =
-                    CategoryIndexSet::build_with_stats(&labels, graph.categories());
-                (graph, labels, inverted, None, stats)
-            };
-        // Blobs that predate the bounds section (or v1 blobs) rebuild the
-        // tables from the decoded labels on install.
-        let bounds = bounds.unwrap_or_else(|| CategoryBounds::build(&labels, graph.categories()));
+                total_entries as f64 / total_lists as f64
+            },
+            size_bytes: total_entries as usize
+                * (std::mem::size_of::<kosr_graph::VertexId>()
+                    + std::mem::size_of::<kosr_graph::Weight>()),
+        };
         let label_stats = BuildStats {
             labels_added: labels.num_entries(),
             ..Default::default()

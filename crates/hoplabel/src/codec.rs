@@ -1,41 +1,29 @@
-//! Binary serialization of hop-label indexes.
-//!
-//! The format is deliberately simple and versioned: it backs both offline
-//! persistence (`Table IX` preprocessing is paid once) and the per-category
-//! disk-resident layout used by the SK-DB method (§IV-C, "disk-based query
-//! answering").
+//! Binary serialization of single label sets — the record format of the
+//! per-category disk-resident layout used by the SK-DB method (§IV-C,
+//! "disk-based query answering"). Whole indexes travel as the slabs of
+//! [`crate::flat`].
 //!
 //! Layout (little endian):
 //! ```text
-//! magic  : 8 bytes  = b"KOSRHL1\0"
-//! n      : u32      vertex count
-//! 2n sets: u32 len, then len × (u32 hub, u64 dist)   -- Lin(0), Lout(0), Lin(1), …
+//! set: u32 len, then len × (u32 hub, u64 dist)
 //! ```
 
 use bytes::{Buf, BufMut};
 use kosr_graph::{VertexId, Weight};
 
-use crate::label::{HopLabels, LabelSet};
+use crate::label::LabelSet;
 
-const MAGIC: &[u8; 8] = b"KOSRHL1\0";
-
-/// Errors produced while decoding a label index.
+/// Errors produced while decoding a label set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
-    /// The magic header is absent or wrong.
-    BadMagic,
     /// The buffer ended before the declared contents.
     Truncated,
-    /// Trailing bytes after the declared contents.
-    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "bad magic header"),
             CodecError::Truncated => write!(f, "buffer truncated"),
-            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
         }
     }
 }
@@ -71,58 +59,6 @@ pub fn decode_label_set(buf: &mut &[u8]) -> Result<LabelSet, CodecError> {
     Ok(set)
 }
 
-/// Serializes a complete index.
-pub fn encode(labels: &HopLabels) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12 + labels.size_bytes() + 8 * labels.num_vertices());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(labels.num_vertices() as u32);
-    for v in 0..labels.num_vertices() {
-        let v = VertexId(v as u32);
-        encode_label_set(labels.lin(v), &mut buf);
-        encode_label_set(labels.lout(v), &mut buf);
-    }
-    buf
-}
-
-/// Deserializes a complete index.
-pub fn decode(mut buf: &[u8]) -> Result<HopLabels, CodecError> {
-    if buf.remaining() < 8 || &buf[..8] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    buf.advance(8);
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let n = buf.get_u32_le() as usize;
-    // 2n length-prefixed sets follow, ≥ 8n bytes: refuse a lying vertex
-    // count before allocating n label slots (blobs arrive over the wire
-    // via snapshots, so this is adversarial surface, not just file I/O).
-    if n.saturating_mul(8) > buf.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut labels = HopLabels::empty(n);
-    for v in 0..n {
-        let v = VertexId(v as u32);
-        *labels.lin_mut(v) = decode_label_set(&mut buf)?;
-        *labels.lout_mut(v) = decode_label_set(&mut buf)?;
-    }
-    if buf.has_remaining() {
-        return Err(CodecError::TrailingBytes(buf.remaining()));
-    }
-    Ok(labels)
-}
-
-/// Writes the index to a file.
-pub fn write_to_file(labels: &HopLabels, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, encode(labels))
-}
-
-/// Reads an index from a file.
-pub fn read_from_file(path: &std::path::Path) -> std::io::Result<HopLabels> {
-    let data = std::fs::read(path)?;
-    decode(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,70 +67,34 @@ mod tests {
         VertexId(i)
     }
 
-    fn sample() -> HopLabels {
-        let mut l = HopLabels::empty(3);
-        l.lin_mut(v(0)).insert(v(0), 0);
-        l.lin_mut(v(1)).insert(v(0), 5);
-        l.lin_mut(v(1)).insert(v(1), 0);
-        l.lout_mut(v(0)).insert(v(0), 0);
-        l.lout_mut(v(0)).insert(v(1), 5);
-        l.lout_mut(v(2)).insert(v(2), 0);
-        l
-    }
-
     #[test]
-    fn roundtrip() {
-        let l = sample();
-        let buf = encode(&l);
-        let l2 = decode(&buf).unwrap();
-        assert_eq!(l, l2);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut buf = encode(&sample());
-        buf[0] = b'X';
-        assert_eq!(decode(&buf), Err(CodecError::BadMagic));
+    fn label_sets_roundtrip_back_to_back() {
+        let mut a = LabelSet::default();
+        a.insert(v(0), 0);
+        a.insert(v(1), 5);
+        let b = LabelSet::default();
+        let mut buf = Vec::new();
+        encode_label_set(&a, &mut buf);
+        encode_label_set(&b, &mut buf);
+        let mut cursor = buf.as_slice();
+        assert_eq!(decode_label_set(&mut cursor).unwrap(), a);
+        assert_eq!(decode_label_set(&mut cursor).unwrap(), b);
+        assert!(cursor.is_empty());
     }
 
     #[test]
     fn truncation_rejected() {
-        let buf = encode(&sample());
-        for cut in [4usize, 9, 13, buf.len() - 1] {
+        let mut a = LabelSet::default();
+        a.insert(v(0), 0);
+        a.insert(v(1), 5);
+        let mut buf = Vec::new();
+        encode_label_set(&a, &mut buf);
+        for cut in 0..buf.len() {
             assert_eq!(
-                decode(&buf[..cut]),
-                Err(if cut < 8 {
-                    CodecError::BadMagic
-                } else {
-                    CodecError::Truncated
-                }),
+                decode_label_set(&mut &buf[..cut]),
+                Err(CodecError::Truncated),
                 "cut={cut}"
             );
         }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut buf = encode(&sample());
-        buf.push(0);
-        assert_eq!(decode(&buf), Err(CodecError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let l = sample();
-        let dir = std::env::temp_dir().join("kosr_codec_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("labels.bin");
-        write_to_file(&l, &path).unwrap();
-        let l2 = read_from_file(&path).unwrap();
-        assert_eq!(l, l2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn empty_index_roundtrip() {
-        let l = HopLabels::empty(0);
-        assert_eq!(decode(&encode(&l)).unwrap(), l);
     }
 }

@@ -1,4 +1,4 @@
-//! Flat **CSR-slab codec** for label sets — the `kosr-index` v2 snapshot's
+//! Flat **CSR-slab codec** for label sets — the `kosr-index` snapshot's
 //! building block.
 //!
 //! Where [`crate::codec`] writes each set length-prefixed (forcing the

@@ -12,10 +12,10 @@
 //!   statistics for Table IX, and the entry-level updates that back the
 //!   dynamic category maintenance of §IV-C.
 //! * [`TargetDistancer`] — fixed-target oracle used by StarKOSR's heuristic.
-//! * [`codec`] — versioned binary persistence (also the building block of
-//!   the SK-DB disk layout).
+//! * [`codec`] — the single-label-set record format of the SK-DB disk
+//!   layout.
 //! * [`flat`] — CSR-slab codec for label-set families: offset-addressed
-//!   arenas whose decode is a bounds-checked reinterpretation (the v2
+//!   arenas whose decode is a bounds-checked reinterpretation (the
 //!   snapshot's label sections).
 //! * [`shortest_path`] — actual-route reconstruction from label queries.
 //! * [`IncrementalUpdater`] — §IV-C graph-structure updates: incremental
@@ -86,7 +86,13 @@ mod tests {
         b.add_edge(v(9), v(0), 1);
         let g = b.build();
         let labels = build(&g, &HubOrder::Degree);
-        let reloaded = codec::decode(&codec::encode(&labels)).unwrap();
+        let n = g.num_vertices();
+        let reload = |sets: &[LabelSet]| {
+            let mut slab = Vec::new();
+            flat::encode_sets(sets, &mut slab);
+            flat::decode_sets_checked(n, flat::entry_count(sets), n as u32, &slab).unwrap()
+        };
+        let reloaded = HopLabels::from_parts(reload(labels.lin_sets()), reload(labels.lout_sets()));
         for s in g.vertices() {
             for t in g.vertices() {
                 assert_eq!(labels.distance(s, t), reloaded.distance(s, t));

@@ -1,13 +1,14 @@
-//! The **v2 flat-arena snapshot codec**: the whole index — graph CSR,
-//! 2-hop labels, category tables, *and* the inverted label indexes — laid
-//! out as offset-addressed slabs so a cold replica's install is O(bytes)
-//! of bounds-checked reinterpretation instead of the v1 rebuild (per-edge
-//! builder inserts, per-entry label inserts, and a full inverted-index
-//! grouping pass over every category).
+//! The **flat-arena snapshot codec** — the only snapshot blob: the whole
+//! index — graph CSR, 2-hop labels, category tables, the inverted label
+//! indexes *and* the category-pair lower-bound tables — laid out as
+//! offset-addressed slabs so a cold replica's install is O(bytes) of
+//! bounds-checked reinterpretation, with no rebuild of any kind (no
+//! per-edge builder inserts, no per-entry label inserts, no inverted-index
+//! grouping pass, no bound-table joins).
 //!
 //! Layout (little endian; all counts `u64`):
 //! ```text
-//! magic            : 8 bytes = b"KOSRSNP\0" (same as v1)
+//! magic            : 8 bytes = b"KOSRSNP\0"
 //! version          : u8 = 2
 //! counts           : 9 × u64 — n, m, ncats, lin_tot, lout_tot,
 //!                    name_tot, memb_tot, hub_tot, inv_tot
@@ -25,15 +26,21 @@
 //! inv_list_offsets : (hub_tot+1) × u64    entries per hub list
 //! inv_members      : inv_tot × u32
 //! inv_dists        : inv_tot × u64        lists sorted by (dist, member)
+//! bounds magic     : 4 bytes = b"LBND"
+//! ncats_b          : u64                  must equal the header's ncats
+//! linmin_tot       : u64                  entries across the per-category virtual Lin sets
+//! loutmin_tot      : u64                  entries across the per-category virtual Lout sets
+//! lin_min slab     : flat slab over ncats sets                    [`flat`]
+//! lout_min slab    : flat slab over ncats sets
+//! bounds table     : ncats² × u64, row-major
 //! ```
 //!
 //! [`FlatSnapshot::validate`] is **total** on adversarial bytes: the full
 //! byte length is recomputed from the declared counts with checked
 //! arithmetic and compared *before any allocation*, then every section
-//! invariant is checked in one no-allocation pass. After that, conversion
-//! into owned structures ([`FlatSnapshot::graph`], [`FlatSnapshot::labels`],
-//! [`FlatSnapshot::inverted`]) is pure slicing — no sorting, no grouping,
-//! no hash-map-per-entry work.
+//! invariant is checked in one no-allocation pass. [`decode`] performs the
+//! same checks while copying the slabs into owned structures — pure
+//! slicing, no sorting, no grouping, no hash-map-per-entry work.
 //!
 //! [`flat`]: kosr_hoplabel::flat
 
@@ -45,14 +52,18 @@ use crate::bounds::CategoryBounds;
 use crate::inverted::{CategoryIndexSet, InvertedLabelIndex};
 use crate::snapshot::{SnapshotError, MAGIC};
 
-/// The flat-arena snapshot format version byte.
+/// The snapshot format version byte. (Version 1 was a rebuild-on-install
+/// format; blobs bearing it are refused as unsupported.)
 pub const FLAT_SNAPSHOT_VERSION: u8 = 2;
 
-/// Magic opening the optional trailing category-bounds section.
+/// Magic opening the category-bounds section.
 const BOUNDS_MAGIC: &[u8; 4] = b"LBND";
 
 /// Bytes before the first section: magic + version + 9 × u64 counts.
 const HEADER_LEN: usize = 8 + 1 + 9 * 8;
+
+/// Bytes before the bounds slabs: section magic + 3 × u64 counts.
+const BOUNDS_HEADER: usize = 4 + 3 * 8;
 
 impl From<FlatError> for SnapshotError {
     fn from(e: FlatError) -> SnapshotError {
@@ -63,34 +74,18 @@ impl From<FlatError> for SnapshotError {
     }
 }
 
-/// The snapshot-format version byte of a blob, if it bears the snapshot
-/// magic — the dispatch point between the v1 and v2 decoders. `None`
-/// means "not a snapshot at all" (callers fall through to the v1 decoder
-/// for its `BadMagic` error).
-pub fn blob_version(bytes: &[u8]) -> Option<u8> {
-    if bytes.len() > 8 && &bytes[..8] == MAGIC {
-        Some(bytes[8])
-    } else {
-        None
-    }
-}
-
-/// The `(hub_tot, inv_tot)` counts a v2 header declares for its
+/// The `(hub_tot, inv_tot)` counts a header declares for its
 /// inverted-index arenas — the list and entry totals across every
-/// category. Only meaningful for a blob that [`decode_snapshot_v2`] has
-/// already accepted (the decode proves the header honest); callers use it
-/// to report selectivity stats without re-walking the freshly built
-/// indexes. `None` when the blob is not a v2 snapshot or too short to
-/// carry a full header.
+/// category. Only meaningful for a blob that [`decode`] has already
+/// accepted (the decode proves the header honest); callers use it to
+/// report selectivity stats without re-walking the freshly built indexes.
+/// `None` when the blob is too short to carry a full header.
 pub fn blob_inverted_counts(bytes: &[u8]) -> Option<(u64, u64)> {
-    if blob_version(bytes) != Some(FLAT_SNAPSHOT_VERSION) || bytes.len() < HEADER_LEN {
-        return None;
-    }
-    let c = &bytes[9..HEADER_LEN];
+    let c = bytes.get(9..HEADER_LEN)?;
     Some((read_u64(c, 7), read_u64(c, 8)))
 }
 
-/// The nine declared section counts of a v2 header.
+/// The nine declared section counts of a header.
 #[derive(Clone, Copy, Debug)]
 struct Counts {
     n: u64,
@@ -105,6 +100,22 @@ struct Counts {
 }
 
 impl Counts {
+    /// Reads the nine counts from the `9 × u64` region behind the version
+    /// byte.
+    fn from_header(c: &[u8]) -> Counts {
+        Counts {
+            n: read_u64(c, 0),
+            m: read_u64(c, 1),
+            ncats: read_u64(c, 2),
+            lin_tot: read_u64(c, 3),
+            lout_tot: read_u64(c, 4),
+            name_tot: read_u64(c, 5),
+            memb_tot: read_u64(c, 6),
+            hub_tot: read_u64(c, 7),
+            inv_tot: read_u64(c, 8),
+        }
+    }
+
     /// Byte length of each section, in layout order. `None` when the
     /// arithmetic overflows — a lying header, refused before any
     /// allocation.
@@ -131,8 +142,9 @@ impl Counts {
         ])
     }
 
-    /// Total blob length implied by the counts.
-    fn expected_len(&self) -> Option<usize> {
+    /// Length of the header plus the 14 core sections implied by the
+    /// counts; the bounds section starts at this offset.
+    fn core_len(&self) -> Option<usize> {
         self.section_lens()?
             .iter()
             .try_fold(HEADER_LEN, |acc, &s| acc.checked_add(s))
@@ -174,7 +186,7 @@ fn check_offsets(offsets: &[u8], k: usize, total: u64) -> Result<(), SnapshotErr
     Ok(())
 }
 
-/// A validated zero-copy view over a v2 snapshot blob.
+/// A validated zero-copy view over a snapshot blob.
 ///
 /// Construction ([`FlatSnapshot::validate`]) is total: any byte string —
 /// truncated, padded, bit-flipped, or adversarially crafted — yields a
@@ -200,10 +212,11 @@ pub struct FlatSnapshot<'a> {
     inv_list_offsets: &'a [u8],
     inv_members: &'a [u8],
     inv_dists: &'a [u8],
+    bounds: BoundsSection<'a>,
 }
 
 impl<'a> FlatSnapshot<'a> {
-    /// Parses and fully validates a v2 blob without building anything.
+    /// Parses and fully validates a blob without building anything.
     pub fn validate(bytes: &'a [u8]) -> Result<FlatSnapshot<'a>, SnapshotError> {
         let view = FlatSnapshot::validate_structure(bytes)?;
         view.check_edges(view.m as u64)?;
@@ -211,6 +224,9 @@ impl<'a> FlatSnapshot<'a> {
         flat::validate_sets(view.n, view.lout_tot, view.n as u32, view.lout)?;
         view.check_categories()?;
         view.check_inverted()?;
+        let b = &view.bounds;
+        flat::validate_sets(view.ncats, b.lin_tot, view.n as u32, b.lin_min)?;
+        flat::validate_sets(view.ncats, b.lout_tot, view.n as u32, b.lout_min)?;
         Ok(view)
     }
 
@@ -218,7 +234,7 @@ impl<'a> FlatSnapshot<'a> {
     /// whole-blob length (checked arithmetic, before any allocation),
     /// section slicing, and every **offset array** — everything the
     /// materialisers need to be panic-free — but none of the per-entry
-    /// content walks. The fused install path ([`decode_snapshot_v2`])
+    /// content walks. The fused install path ([`decode`])
     /// starts here and performs the content checks *while copying*, so the
     /// entry arenas are walked once instead of twice.
     fn validate_structure(bytes: &'a [u8]) -> Result<FlatSnapshot<'a>, SnapshotError> {
@@ -232,18 +248,7 @@ impl<'a> FlatSnapshot<'a> {
         if version != FLAT_SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
-        let c = &bytes[9..HEADER_LEN];
-        let counts = Counts {
-            n: read_u64(c, 0),
-            m: read_u64(c, 1),
-            ncats: read_u64(c, 2),
-            lin_tot: read_u64(c, 3),
-            lout_tot: read_u64(c, 4),
-            name_tot: read_u64(c, 5),
-            memb_tot: read_u64(c, 6),
-            hub_tot: read_u64(c, 7),
-            inv_tot: read_u64(c, 8),
-        };
+        let counts = Counts::from_header(&bytes[9..HEADER_LEN]);
         // Vertex and edge ids are u32 throughout the index layer; a header
         // claiming more is either lying or a world this build cannot hold.
         if counts.n > u32::MAX as u64 || counts.m > u32::MAX as u64 {
@@ -253,13 +258,15 @@ impl<'a> FlatSnapshot<'a> {
         // the counts: a crafted header cannot drive an allocation, and a
         // short blob is reported as truncation rather than corruption.
         let lens = counts.section_lens().ok_or(SnapshotError::Truncated)?;
-        let expect = counts.expected_len().ok_or(SnapshotError::Truncated)?;
-        if bytes.len() < expect {
+        let core = counts.core_len().ok_or(SnapshotError::Truncated)?;
+        if bytes.len() < core {
             return Err(SnapshotError::Truncated);
         }
-        if bytes.len() > expect {
-            return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
-        }
+        let ncats = usize::try_from(counts.ncats).map_err(|_| SnapshotError::Truncated)?;
+        // The bounds section is part of the format: a blob that stops at
+        // the core is truncated, and one that runs past the section's own
+        // declared length carries trailing bytes.
+        let bounds = BoundsSection::slice(&bytes[core..], ncats)?;
 
         let mut cursor = HEADER_LEN;
         let mut take = |len: usize| {
@@ -270,7 +277,7 @@ impl<'a> FlatSnapshot<'a> {
         let view = FlatSnapshot {
             n: counts.n as usize,
             m: counts.m as usize,
-            ncats: usize::try_from(counts.ncats).map_err(|_| SnapshotError::Truncated)?,
+            ncats,
             lin_tot: counts.lin_tot,
             lout_tot: counts.lout_tot,
             edge_offsets: take(lens[0]),
@@ -287,6 +294,7 @@ impl<'a> FlatSnapshot<'a> {
             inv_list_offsets: take(lens[11]),
             inv_members: take(lens[12]),
             inv_dists: take(lens[13]),
+            bounds,
         };
         // The offset arrays gate every downstream slice: checking them
         // here makes all materialisers total even before the content
@@ -462,53 +470,11 @@ impl<'a> FlatSnapshot<'a> {
             .map_err(SnapshotError::Corrupt)
     }
 
-    /// Materialises the 2-hop labels by slicing both slabs row-wise — no
-    /// per-entry inserts, no sorting.
-    pub fn labels(&self) -> Result<HopLabels, SnapshotError> {
-        let lin = flat::decode_sets(self.n, self.lin_tot, self.lin)?;
-        let lout = flat::decode_sets(self.n, self.lout_tot, self.lout)?;
-        Ok(HopLabels::from_parts(lin, lout))
-    }
-
     /// Materialises the inverted label indexes straight from the arenas —
-    /// the grouping pass v1 installs pay is already baked into the blob,
-    /// and the per-list `(dist, member)` order was enforced by
-    /// [`FlatSnapshot::validate`], so no sorting runs here either.
-    pub fn inverted(&self) -> CategoryIndexSet {
-        let mut indexes = Vec::with_capacity(self.ncats);
-        for c in 0..self.ncats {
-            let (lo, hi) = (
-                read_u64(self.inv_cat_offsets, c) as usize,
-                read_u64(self.inv_cat_offsets, c + 1) as usize,
-            );
-            let mut lists: FxHashMap<VertexId, Vec<(VertexId, Weight)>> = FxHashMap::default();
-            lists.reserve(hi - lo);
-            for h in lo..hi {
-                let hub = VertexId(read_u32(self.inv_hubs, h));
-                let (elo, ehi) = (
-                    read_u64(self.inv_list_offsets, h) as usize,
-                    read_u64(self.inv_list_offsets, h + 1) as usize,
-                );
-                let entries: Vec<(VertexId, Weight)> = (elo..ehi)
-                    .map(|e| {
-                        (
-                            VertexId(read_u32(self.inv_members, e)),
-                            read_u64(self.inv_dists, e),
-                        )
-                    })
-                    .collect();
-                lists.insert(hub, entries);
-            }
-            let num_members =
-                (read_u64(self.memb_offsets, c + 1) - read_u64(self.memb_offsets, c)) as usize;
-            indexes.push(InvertedLabelIndex::from_sorted_lists(lists, num_members));
-        }
-        CategoryIndexSet::from_indexes(indexes)
-    }
-
-    /// Single-pass fusion of [`FlatSnapshot::check_inverted`] and
-    /// [`FlatSnapshot::inverted`]: every hub/member/ordering invariant is
-    /// checked while the lists are copied, walking the entry arenas once.
+    /// the grouping pass a rebuild would pay is already baked into the
+    /// blob. Every hub/member/ordering invariant of
+    /// [`FlatSnapshot::check_inverted`] is checked while the lists are
+    /// copied, walking the entry arenas once, so no sorting runs here.
     fn inverted_checked(&self) -> Result<CategoryIndexSet, SnapshotError> {
         let mut indexes = Vec::with_capacity(self.ncats);
         for c in 0..self.ncats {
@@ -556,15 +522,94 @@ impl<'a> FlatSnapshot<'a> {
         }
         Ok(CategoryIndexSet::from_indexes(indexes))
     }
+
+    /// Materialises the category-pair lower-bound tables; the slab
+    /// invariants are checked while copying, against the vertex count and
+    /// category table of the core sections.
+    fn bounds_checked(&self) -> Result<CategoryBounds, SnapshotError> {
+        let (b, hub_bound) = (&self.bounds, self.n as u32);
+        let lin_min = flat::decode_sets_checked(self.ncats, b.lin_tot, hub_bound, b.lin_min)?;
+        let lout_min = flat::decode_sets_checked(self.ncats, b.lout_tot, hub_bound, b.lout_min)?;
+        let table: Vec<Weight> = (0..self.ncats * self.ncats)
+            .map(|i| read_u64(b.table, i))
+            .collect();
+        CategoryBounds::from_parts(lin_min, lout_min, table)
+            .ok_or(SnapshotError::Corrupt("bounds section shape mismatch"))
+    }
 }
 
-/// Serializes a full index into one **v2** flat-arena blob. Deterministic:
-/// the same index always produces the same bytes (hubs are emitted in
+/// The bounds section's three regions, sliced once its declared length has
+/// been checked against the bytes actually present.
+struct BoundsSection<'a> {
+    lin_tot: u64,
+    lout_tot: u64,
+    lin_min: &'a [u8],
+    lout_min: &'a [u8],
+    table: &'a [u8],
+}
+
+impl<'a> BoundsSection<'a> {
+    /// Slices `region` (everything after the core sections). `ncats` comes
+    /// from the already-checked header; any disagreement is a typed
+    /// [`SnapshotError`], never a panic.
+    fn slice(region: &'a [u8], ncats: usize) -> Result<BoundsSection<'a>, SnapshotError> {
+        if region.len() < BOUNDS_HEADER {
+            return Err(SnapshotError::Truncated);
+        }
+        if &region[..4] != BOUNDS_MAGIC {
+            return Err(SnapshotError::Corrupt("bounds section magic mismatch"));
+        }
+        let c = &region[4..BOUNDS_HEADER];
+        if read_u64(c, 0) != ncats as u64 {
+            return Err(SnapshotError::Corrupt(
+                "bounds section category count disagrees with category table",
+            ));
+        }
+        let lin_tot = read_u64(c, 1);
+        let lout_tot = read_u64(c, 2);
+        // Whole-section length from the declared counts, checked arithmetic
+        // first — a lying header cannot drive an allocation.
+        let lens = bounds_lens(ncats, lin_tot, lout_tot).ok_or(SnapshotError::Truncated)?;
+        let expect = lens
+            .iter()
+            .try_fold(BOUNDS_HEADER, |acc, &s| acc.checked_add(s))
+            .ok_or(SnapshotError::Truncated)?;
+        if region.len() < expect {
+            return Err(SnapshotError::Truncated);
+        }
+        if region.len() > expect {
+            return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
+        }
+        let (lin_min, rest) = region[BOUNDS_HEADER..].split_at(lens[0]);
+        let (lout_min, table) = rest.split_at(lens[1]);
+        Ok(BoundsSection {
+            lin_tot,
+            lout_tot,
+            lin_min,
+            lout_min,
+            table,
+        })
+    }
+}
+
+/// Byte lengths of the bounds section's two slabs and its table. `None`
+/// when the arithmetic overflows.
+fn bounds_lens(ncats: usize, lin_tot: u64, lout_tot: u64) -> Option<[usize; 3]> {
+    Some([
+        flat::slab_len(ncats, lin_tot)?,
+        flat::slab_len(ncats, lout_tot)?,
+        ncats.checked_mul(ncats)?.checked_mul(8)?,
+    ])
+}
+
+/// Serializes a full index into one flat-arena blob. Deterministic: the
+/// same index always produces the same bytes (hubs are emitted in
 /// ascending id order, not hash order).
-pub fn encode_snapshot_v2(
+pub fn encode(
     graph: &Graph,
     labels: &HopLabels,
     inverted: &CategoryIndexSet,
+    bounds: &CategoryBounds,
 ) -> Vec<u8> {
     let n = graph.num_vertices();
     let m = graph.num_edges();
@@ -595,7 +640,15 @@ pub fn encode_snapshot_v2(
         hub_tot,
         inv_tot,
     };
-    let mut out = Vec::with_capacity(counts.expected_len().expect("snapshot fits memory"));
+    let linmin_tot = flat::entry_count(bounds.lin_min_sets());
+    let loutmin_tot = flat::entry_count(bounds.lout_min_sets());
+    let core_len = counts.core_len().expect("snapshot fits memory");
+    let bounds_len = BOUNDS_HEADER
+        + bounds_lens(bounds.num_categories(), linmin_tot, loutmin_tot)
+            .expect("snapshot fits memory")
+            .iter()
+            .sum::<usize>();
+    let mut out = Vec::with_capacity(core_len + bounds_len);
     out.put_slice(MAGIC);
     out.put_u8(FLAT_SNAPSHOT_VERSION);
     for c in [
@@ -704,11 +757,23 @@ pub fn encode_snapshot_v2(
             }
         }
     }
-    debug_assert_eq!(out.len(), counts.expected_len().unwrap());
+    debug_assert_eq!(out.len(), core_len);
+
+    // Category-pair lower bounds.
+    out.put_slice(BOUNDS_MAGIC);
+    out.put_u64_le(bounds.num_categories() as u64);
+    out.put_u64_le(linmin_tot);
+    out.put_u64_le(loutmin_tot);
+    flat::encode_sets(bounds.lin_min_sets(), &mut out);
+    flat::encode_sets(bounds.lout_min_sets(), &mut out);
+    for &w in bounds.table_slice() {
+        out.put_u64_le(w);
+    }
+    debug_assert_eq!(out.len(), core_len + bounds_len);
     out
 }
 
-/// Label-entry count above which [`decode_snapshot_v2`] fans the section
+/// Label-entry count above which [`decode`] fans the section
 /// copies out over scoped threads (given spare cores). Cold-start decode
 /// is memory-bandwidth bound, and after structural validation the graph,
 /// `Lin`, `Lout`, and inverted arenas materialise independently — but a
@@ -716,17 +781,17 @@ pub fn encode_snapshot_v2(
 /// single-core hosts) stay on the caller's thread.
 const PARALLEL_DECODE_ENTRIES: u64 = 1 << 15;
 
-/// Decodes a v2 blob into its three owned parts.
+/// Decodes a blob into its four owned parts.
 ///
 /// Structural validation (header, counts, whole-length, offset arrays)
 /// runs up front; the per-entry invariants are checked **while copying**
 /// (`decode_sets_checked`, [`FlatSnapshot::inverted_checked`],
 /// `Graph::try_from_csr`), so every arena is walked exactly once. Accepts
-/// and refuses exactly the same blobs as [`FlatSnapshot::validate`]
-/// followed by the plain materialisers.
-pub fn decode_snapshot_v2(
+/// and refuses exactly the same blobs as [`FlatSnapshot::validate`].
+#[allow(clippy::type_complexity)]
+pub fn decode(
     bytes: &[u8],
-) -> Result<(Graph, HopLabels, CategoryIndexSet), SnapshotError> {
+) -> Result<(Graph, HopLabels, CategoryIndexSet, CategoryBounds), SnapshotError> {
     let view = FlatSnapshot::validate_structure(bytes)?;
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     if cores <= 1 || view.lin_tot + view.lout_tot < PARALLEL_DECODE_ENTRIES {
@@ -734,7 +799,8 @@ pub fn decode_snapshot_v2(
         let lin = flat::decode_sets_checked(view.n, view.lin_tot, view.n as u32, view.lin)?;
         let lout = flat::decode_sets_checked(view.n, view.lout_tot, view.n as u32, view.lout)?;
         let inverted = view.inverted_checked()?;
-        return Ok((graph, HopLabels::from_parts(lin, lout), inverted));
+        let bounds = view.bounds_checked()?;
+        return Ok((graph, HopLabels::from_parts(lin, lout), inverted, bounds));
     }
     let view = &view;
     std::thread::scope(|s| {
@@ -746,181 +812,12 @@ pub fn decode_snapshot_v2(
             flat::decode_sets_checked(view.n, view.lout_tot, view.n as u32, view.lout)
         });
         let inverted = view.inverted_checked()?;
+        let bounds = view.bounds_checked()?;
         let graph = graph.join().expect("graph decode thread panicked")?;
         let lin = lin.join().expect("lin decode thread panicked")?;
         let lout = lout.join().expect("lout decode thread panicked")?;
-        Ok((graph, HopLabels::from_parts(lin, lout), inverted))
+        Ok((graph, HopLabels::from_parts(lin, lout), inverted, bounds))
     })
-}
-
-/// Byte length of the 14 **core** sections of a v2 blob (header included),
-/// recomputed from the header counts with checked arithmetic. Anything
-/// beyond this offset is the optional trailing bounds section.
-fn core_len(bytes: &[u8]) -> Result<usize, SnapshotError> {
-    if bytes.len() < 8 || &bytes[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[8] != FLAT_SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: bytes[8] });
-    }
-    let c = &bytes[9..HEADER_LEN];
-    let counts = Counts {
-        n: read_u64(c, 0),
-        m: read_u64(c, 1),
-        ncats: read_u64(c, 2),
-        lin_tot: read_u64(c, 3),
-        lout_tot: read_u64(c, 4),
-        name_tot: read_u64(c, 5),
-        memb_tot: read_u64(c, 6),
-        hub_tot: read_u64(c, 7),
-        inv_tot: read_u64(c, 8),
-    };
-    counts.expected_len().ok_or(SnapshotError::Truncated)
-}
-
-/// Serializes a full index **plus its category-pair lower-bound tables**
-/// into one v2 blob: the 14 core sections of [`encode_snapshot_v2`]
-/// followed by a self-describing trailing section
-///
-/// ```text
-/// bounds magic : 4 bytes = b"LBND"
-/// ncats_b      : u64   must equal the header's ncats
-/// linmin_tot   : u64   entries across the per-category virtual Lin sets
-/// loutmin_tot  : u64   entries across the per-category virtual Lout sets
-/// lin_min slab : flat slab over ncats sets                       [`flat`]
-/// lout_min slab: flat slab over ncats sets
-/// table        : ncats² × u64, row-major
-/// ```
-///
-/// Core-only decoders ([`decode_snapshot_v2`]) keep refusing the longer
-/// blob as trailing garbage; bounds-aware installs use
-/// [`decode_snapshot_v2_full`].
-pub fn encode_snapshot_v2_with_bounds(
-    graph: &Graph,
-    labels: &HopLabels,
-    inverted: &CategoryIndexSet,
-    bounds: &CategoryBounds,
-) -> Vec<u8> {
-    let mut out = encode_snapshot_v2(graph, labels, inverted);
-    out.put_slice(BOUNDS_MAGIC);
-    out.put_u64_le(bounds.num_categories() as u64);
-    out.put_u64_le(flat::entry_count(bounds.lin_min_sets()));
-    out.put_u64_le(flat::entry_count(bounds.lout_min_sets()));
-    flat::encode_sets(bounds.lin_min_sets(), &mut out);
-    flat::encode_sets(bounds.lout_min_sets(), &mut out);
-    for &w in bounds.table_slice() {
-        out.put_u64_le(w);
-    }
-    out
-}
-
-/// Decodes the trailing bounds section. `ncats` and `n` come from the
-/// already-validated core (the category table and vertex count the section
-/// must agree with); any disagreement is a typed [`SnapshotError`], never
-/// a panic.
-fn decode_bounds_section(
-    region: &[u8],
-    ncats: usize,
-    n: usize,
-) -> Result<CategoryBounds, SnapshotError> {
-    const BOUNDS_HEADER: usize = 4 + 3 * 8;
-    if region.len() < BOUNDS_HEADER {
-        return Err(SnapshotError::Truncated);
-    }
-    if &region[..4] != BOUNDS_MAGIC {
-        return Err(SnapshotError::Corrupt("bounds section magic mismatch"));
-    }
-    let c = &region[4..BOUNDS_HEADER];
-    let ncats_b = read_u64(c, 0);
-    if ncats_b != ncats as u64 {
-        return Err(SnapshotError::Corrupt(
-            "bounds section category count disagrees with category table",
-        ));
-    }
-    let lin_tot = read_u64(c, 1);
-    let lout_tot = read_u64(c, 2);
-    // Whole-section length from the declared counts, checked arithmetic
-    // first — a lying header cannot drive an allocation.
-    let lin_len = flat::slab_len(ncats, lin_tot).ok_or(SnapshotError::Truncated)?;
-    let lout_len = flat::slab_len(ncats, lout_tot).ok_or(SnapshotError::Truncated)?;
-    let table_len = ncats
-        .checked_mul(ncats)
-        .and_then(|cells| cells.checked_mul(8))
-        .ok_or(SnapshotError::Truncated)?;
-    let expect = [lin_len, lout_len, table_len]
-        .iter()
-        .try_fold(BOUNDS_HEADER, |acc, &s| acc.checked_add(s))
-        .ok_or(SnapshotError::Truncated)?;
-    if region.len() < expect {
-        return Err(SnapshotError::Truncated);
-    }
-    if region.len() > expect {
-        return Err(SnapshotError::Corrupt(
-            "trailing bytes after bounds section",
-        ));
-    }
-    let lin_region = &region[BOUNDS_HEADER..BOUNDS_HEADER + lin_len];
-    let lout_region = &region[BOUNDS_HEADER + lin_len..BOUNDS_HEADER + lin_len + lout_len];
-    let lin_min = flat::decode_sets_checked(ncats, lin_tot, n as u32, lin_region)?;
-    let lout_min = flat::decode_sets_checked(ncats, lout_tot, n as u32, lout_region)?;
-    let table_region = &region[expect - table_len..];
-    let table: Vec<Weight> = (0..ncats * ncats)
-        .map(|i| read_u64(table_region, i))
-        .collect();
-    CategoryBounds::from_parts(lin_min, lout_min, table)
-        .ok_or(SnapshotError::Corrupt("bounds section shape mismatch"))
-}
-
-/// [`decode_snapshot_v2`] extended with the optional trailing bounds
-/// section: `Ok(..., Some(bounds))` when the blob carries one (validated
-/// against the decoded category table), `Ok(..., None)` for a plain core
-/// blob (the installer rebuilds bounds from the labels).
-#[allow(clippy::type_complexity)]
-pub fn decode_snapshot_v2_full(
-    bytes: &[u8],
-) -> Result<(Graph, HopLabels, CategoryIndexSet, Option<CategoryBounds>), SnapshotError> {
-    let core = core_len(bytes)?;
-    if bytes.len() < core {
-        return Err(SnapshotError::Truncated);
-    }
-    let (graph, labels, inverted) = decode_snapshot_v2(&bytes[..core])?;
-    let bounds = if bytes.len() > core {
-        Some(decode_bounds_section(
-            &bytes[core..],
-            graph.categories().num_categories(),
-            graph.num_vertices(),
-        )?)
-    } else {
-        None
-    };
-    Ok((graph, labels, inverted, bounds))
-}
-
-/// Transcodes a v2 blob down to the v1 wire format — the negotiated
-/// fallback the transports use when a fleet peer predates v2. The inverted
-/// arenas are dropped (v1 never carried them; the old peer rebuilds its
-/// own), so only the graph and labels are materialised here.
-pub fn downgrade(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    // A trailing bounds section (v1 never carried bounds either) is
-    // validated and then dropped along with the inverted arenas.
-    let core = core_len(bytes)?;
-    if bytes.len() < core {
-        return Err(SnapshotError::Truncated);
-    }
-    let view = FlatSnapshot::validate(&bytes[..core])?;
-    let graph = view.graph()?;
-    if bytes.len() > core {
-        decode_bounds_section(
-            &bytes[core..],
-            graph.categories().num_categories(),
-            graph.num_vertices(),
-        )?;
-    }
-    let labels = view.labels()?;
-    crate::snapshot::encode_snapshot(&graph, &labels)
 }
 
 #[cfg(test)]
@@ -935,7 +832,7 @@ mod tests {
 
     /// A small world with two categories, one empty category, and a
     /// non-trivial label set.
-    fn world() -> (Graph, HopLabels, CategoryIndexSet) {
+    fn world() -> (Graph, HopLabels, CategoryIndexSet, CategoryBounds) {
         let mut b = GraphBuilder::new(8);
         for i in 0..7u32 {
             b.add_edge(v(i), v(i + 1), (i % 3 + 1) as u64);
@@ -954,15 +851,22 @@ mod tests {
         let g = b.build();
         let labels = kosr_hoplabel::build(&g, &HubOrder::Degree);
         let inverted = CategoryIndexSet::build(&labels, g.categories());
-        (g, labels, inverted)
+        let bounds = CategoryBounds::build(&labels, g.categories());
+        (g, labels, inverted, bounds)
+    }
+
+    /// Offset of the bounds section in an encoded blob.
+    fn core_len(blob: &[u8]) -> usize {
+        Counts::from_header(&blob[9..HEADER_LEN])
+            .core_len()
+            .unwrap()
     }
 
     #[test]
     fn roundtrip_preserves_everything() {
-        let (g, labels, inverted) = world();
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
-        assert_eq!(blob_version(&blob), Some(FLAT_SNAPSHOT_VERSION));
-        let (g2, labels2, inverted2) = decode_snapshot_v2(&blob).unwrap();
+        let (g, labels, inverted, bounds) = world();
+        let blob = encode(&g, &labels, &inverted, &bounds);
+        let (g2, labels2, inverted2, bounds2) = decode(&blob).unwrap();
         assert_eq!(g2.num_vertices(), g.num_vertices());
         assert_eq!(g2.num_edges(), g.num_edges());
         for u in g.vertices() {
@@ -995,22 +899,18 @@ mod tests {
                 assert_eq!(b.list(h), Some(list));
             }
         }
+        assert_eq!(bounds2, bounds);
         // Deterministic re-encode.
-        assert_eq!(encode_snapshot_v2(&g2, &labels2, &inverted2), blob);
+        assert_eq!(encode(&g2, &labels2, &inverted2, &bounds2), blob);
     }
 
     #[test]
     fn truncation_is_typed_at_every_cut() {
-        let (g, labels, inverted) = world();
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
+        let (g, labels, inverted, bounds) = world();
+        let blob = encode(&g, &labels, &inverted, &bounds);
         for cut in 0..blob.len() {
             match FlatSnapshot::validate(&blob[..cut]) {
-                Err(
-                    SnapshotError::Truncated
-                    | SnapshotError::BadMagic
-                    | SnapshotError::Corrupt(_)
-                    | SnapshotError::UnsupportedVersion { .. },
-                ) => {}
+                Err(SnapshotError::Truncated | SnapshotError::BadMagic) => {}
                 Err(other) => panic!("cut={cut}: unexpected {other:?}"),
                 Ok(_) => panic!("cut={cut}: truncated blob validated"),
             }
@@ -1019,8 +919,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_corrupt() {
-        let (g, labels, inverted) = world();
-        let mut blob = encode_snapshot_v2(&g, &labels, &inverted);
+        let (g, labels, inverted, bounds) = world();
+        let mut blob = encode(&g, &labels, &inverted, &bounds);
         blob.push(0);
         assert!(matches!(
             FlatSnapshot::validate(&blob),
@@ -1030,8 +930,8 @@ mod tests {
 
     #[test]
     fn lying_counts_refused_before_allocating() {
-        let (g, labels, inverted) = world();
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
+        let (g, labels, inverted, bounds) = world();
+        let blob = encode(&g, &labels, &inverted, &bounds);
         // Each of the nine counts in turn claims u64::MAX: the length
         // check must refuse without ever allocating toward the claim.
         for slot in 0..9 {
@@ -1047,28 +947,33 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_typed() {
-        let (g, labels, inverted) = world();
-        let mut blob = encode_snapshot_v2(&g, &labels, &inverted);
-        assert_eq!(blob_version(b"short"), None);
+        let (g, labels, inverted, bounds) = world();
+        let mut blob = encode(&g, &labels, &inverted, &bounds);
         let mut wrong = blob.clone();
         wrong[0] ^= 0xFF;
-        assert_eq!(blob_version(&wrong), None);
         assert!(matches!(
             FlatSnapshot::validate(&wrong),
             Err(SnapshotError::BadMagic)
         ));
-        blob[8] = 99;
-        assert_eq!(blob_version(&blob), Some(99));
-        assert!(matches!(
-            FlatSnapshot::validate(&blob),
-            Err(SnapshotError::UnsupportedVersion { found: 99 })
-        ));
+        // Every version byte but the arena's is refused typed — including
+        // 1, the retired rebuild-on-install format.
+        for version in [1, 3, 99] {
+            blob[8] = version;
+            assert!(matches!(
+                FlatSnapshot::validate(&blob),
+                Err(SnapshotError::UnsupportedVersion { found }) if found == version
+            ));
+            assert!(matches!(
+                decode(&blob),
+                Err(SnapshotError::UnsupportedVersion { found }) if found == version
+            ));
+        }
     }
 
     #[test]
     fn corrupt_content_is_typed() {
-        let (g, labels, inverted) = world();
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
+        let (g, labels, inverted, bounds) = world();
+        let blob = encode(&g, &labels, &inverted, &bounds);
         let n = g.num_vertices();
         // First edge target out of range.
         let target_base = HEADER_LEN + (n + 1) * 4;
@@ -1096,65 +1001,43 @@ mod tests {
     }
 
     #[test]
-    fn bounds_section_roundtrips_and_core_decoders_stay_strict() {
-        let (g, labels, inverted) = world();
-        let bounds = CategoryBounds::build(&labels, g.categories());
-        let blob = encode_snapshot_v2_with_bounds(&g, &labels, &inverted, &bounds);
-        let (g2, labels2, _, back) = decode_snapshot_v2_full(&blob).unwrap();
-        assert_eq!(back.as_ref(), Some(&bounds));
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(labels2.num_entries(), labels.num_entries());
-        // A core-only blob reports no bounds instead of failing.
-        let core = encode_snapshot_v2(&g, &labels, &inverted);
-        let (_, _, _, none) = decode_snapshot_v2_full(&core).unwrap();
-        assert!(none.is_none());
-        // The strict core decoder keeps refusing the longer blob.
+    fn bounds_section_is_part_of_the_format() {
+        let (g, labels, inverted, bounds) = world();
+        let blob = encode(&g, &labels, &inverted, &bounds);
+        let core = core_len(&blob);
+        // A blob that stops at the core sections is truncated, to the
+        // validator and the decoder alike.
         assert!(matches!(
-            decode_snapshot_v2(&blob),
-            Err(SnapshotError::Corrupt(_))
+            FlatSnapshot::validate(&blob[..core]),
+            Err(SnapshotError::Truncated)
         ));
-        // Downgrade drops the section but still validates it.
-        assert_eq!(downgrade(&blob).unwrap(), downgrade(&core).unwrap());
-    }
-
-    #[test]
-    fn bounds_section_count_mismatch_is_typed() {
-        let (g, labels, inverted) = world();
-        let bounds = CategoryBounds::build(&labels, g.categories());
-        let core = encode_snapshot_v2(&g, &labels, &inverted);
-        let blob = encode_snapshot_v2_with_bounds(&g, &labels, &inverted, &bounds);
+        assert!(matches!(
+            decode(&blob[..core]),
+            Err(SnapshotError::Truncated)
+        ));
         // Lie about the category count inside the bounds section.
         let mut bad = blob.clone();
-        let pos = core.len() + 4;
+        let pos = core + 4;
         bad[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        match decode_snapshot_v2_full(&bad) {
+        match decode(&bad) {
             Err(SnapshotError::Corrupt(msg)) => {
                 assert!(msg.contains("disagrees with category table"), "{msg}")
             }
             other => panic!("unexpected: {other:?}"),
         }
-        // Same lie through the downgrade path.
-        assert!(downgrade(&bad).is_err());
         // A lying entry total is refused by the length check, not an
         // allocation attempt.
         let mut bad = blob.clone();
-        let pos = core.len() + 12;
+        let pos = core + 12;
         bad[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot_v2_full(&bad),
-            Err(SnapshotError::Truncated)
-        ));
+        assert!(matches!(decode(&bad), Err(SnapshotError::Truncated)));
         // Wrong section magic.
         let mut bad = blob.clone();
-        bad[core.len()] ^= 0xFF;
-        assert!(matches!(
-            decode_snapshot_v2_full(&bad),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Truncation anywhere inside the section is typed, never a panic
-        // (a cut at exactly the core length is a valid bounds-less blob).
-        for cut in core.len() + 1..blob.len() {
-            match decode_snapshot_v2_full(&blob[..cut]) {
+        bad[core] ^= 0xFF;
+        assert!(matches!(decode(&bad), Err(SnapshotError::Corrupt(_))));
+        // Truncation anywhere inside the section is typed, never a panic.
+        for cut in core..blob.len() {
+            match decode(&blob[..cut]) {
                 Err(SnapshotError::Truncated | SnapshotError::Corrupt(_)) => {}
                 other => panic!("cut={cut}: unexpected {other:?}"),
             }
@@ -1162,21 +1045,7 @@ mod tests {
         // Trailing garbage after a complete section is corrupt.
         let mut bad = blob.clone();
         bad.push(0);
-        assert!(matches!(
-            decode_snapshot_v2_full(&bad),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn downgrade_matches_direct_v1_encode() {
-        let (g, labels, inverted) = world();
-        let v2 = encode_snapshot_v2(&g, &labels, &inverted);
-        let v1 = downgrade(&v2).unwrap();
-        assert_eq!(v1, crate::snapshot::encode_snapshot(&g, &labels).unwrap());
-        let (g2, labels2) = crate::snapshot::decode_snapshot(&v1).unwrap();
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(labels2.num_entries(), labels.num_entries());
+        assert!(matches!(decode(&bad), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]
@@ -1184,8 +1053,9 @@ mod tests {
         let g = GraphBuilder::new(0).build();
         let labels = HopLabels::empty(0);
         let inverted = CategoryIndexSet::build(&labels, g.categories());
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
-        let (g2, labels2, inverted2) = decode_snapshot_v2(&blob).unwrap();
+        let bounds = CategoryBounds::build(&labels, g.categories());
+        let blob = encode(&g, &labels, &inverted, &bounds);
+        let (g2, labels2, inverted2, _) = decode(&blob).unwrap();
         assert_eq!(g2.num_vertices(), 0);
         assert_eq!(labels2.num_vertices(), 0);
         assert_eq!(inverted2.num_categories(), 0);

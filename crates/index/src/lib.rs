@@ -15,11 +15,11 @@
 //!   [`DijkstraTarget`]) behind the A* estimation.
 //! * [`disk`] — the SK-DB on-disk layout (per-category segments + offset
 //!   directory standing in for the paper's B+-tree).
-//! * [`snapshot`] — the v1 shard snapshot codec: graph + labels as one
-//!   blob, shipped to cold replicas by the transport layer.
-//! * [`arena`] — the v2 **flat-arena** snapshot: offset-addressed slabs
-//!   (including the inverted indexes) whose install is O(bytes) of
-//!   bounds-checked reinterpretation instead of a rebuild.
+//! * [`arena`] — the **flat-arena** shard snapshot: the whole index as
+//!   offset-addressed slabs (including the inverted indexes and bound
+//!   tables), shipped to cold replicas by the transport layer; install is
+//!   O(bytes) of bounds-checked reinterpretation instead of a rebuild.
+//! * [`snapshot`] — the snapshot codec's typed refusals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,41 +1,14 @@
-//! The shard **snapshot codec**: one self-contained binary blob holding a
-//! graph (structure + categories) and its 2-hop labels — everything a cold
-//! replica needs to reconstruct an `IndexedGraph` without redoing the
-//! expensive preprocessing of Table IX.
-//!
-//! The transport layer ships these blobs to joining replicas; the inverted
-//! label indexes are *not* serialized because they are a pure function of
-//! `(labels, categories)` and rebuilding them from the decoded parts is a
-//! cheap grouping pass (no graph searches) that reproduces the maintained
-//! indexes entry for entry.
-//!
-//! Layout (little endian):
-//! ```text
-//! magic    : 8 bytes = b"KOSRSNP\0"
-//! version  : u8 (currently 1)
-//! n, m     : u32, u32
-//! edges    : m × (u32 from, u32 to, u64 weight)
-//! ncats    : u32
-//! category : ncats × (u32 name_len, name bytes, u32 members, u32 × members)
-//! labels   : u64 byte length + the `kosr-hoplabel` codec blob
-//! ```
+//! The typed refusals of the shard **snapshot** blob — the one
+//! self-contained binary artifact ([`crate::arena`]) a cold replica
+//! installs instead of redoing the expensive preprocessing of Table IX.
 //!
 //! Decoding is **total**: arbitrary (corrupt, truncated, adversarial) input
-//! produces a typed [`SnapshotError`], never a panic — the transport fuzz
+//! produces a typed [`SnapshotError`], never a panic — the snapshot fuzz
 //! suite enforces this.
 
-use bytes::{Buf, BufMut};
-use kosr_graph::{Graph, GraphBuilder, VertexId};
-use kosr_hoplabel::codec::{self, CodecError};
-use kosr_hoplabel::HopLabels;
+use crate::arena::FLAT_SNAPSHOT_VERSION;
 
 pub(crate) const MAGIC: &[u8; 8] = b"KOSRSNP\0";
-
-/// The original (v1) snapshot format version. This build *writes* the
-/// flat-arena v2 format by default ([`crate::arena`]) and keeps the v1
-/// codec for peers that never learned v2; both decode here via
-/// [`crate::arena::blob_version`] dispatch.
-pub const SNAPSHOT_VERSION: u8 = 1;
 
 /// Why a snapshot blob could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,12 +25,6 @@ pub enum SnapshotError {
     /// The contents are internally inconsistent (out-of-range ids, bad
     /// UTF-8 names, trailing bytes, …).
     Corrupt(&'static str),
-    /// The embedded label blob failed to decode.
-    Labels(CodecError),
-    /// The world does not fit the requested format (v1 counts are `u32`;
-    /// a graph of `2^32` or more edges must ship as v2). Encoding-side
-    /// only — the alternative was silent `as u32` truncation.
-    TooLarge,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -67,324 +34,20 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot version {found} (expected {SNAPSHOT_VERSION})"
+                    "unsupported snapshot version {found} (expected {FLAT_SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
-            SnapshotError::Labels(e) => write!(f, "corrupt label blob: {e}"),
-            SnapshotError::TooLarge => {
-                write!(f, "snapshot too large for format v1 (2^32 or more edges)")
-            }
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-impl From<CodecError> for SnapshotError {
-    fn from(e: CodecError) -> SnapshotError {
-        SnapshotError::Labels(e)
-    }
-}
-
-/// Little-endian reader over the shim's checked `try_get_*` reads: every
-/// accessor reports [`SnapshotError::Truncated`] instead of panicking on
-/// short input.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        self.0.try_get_u8().ok_or(SnapshotError::Truncated)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        self.0.try_get_u32_le().ok_or(SnapshotError::Truncated)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        self.0.try_get_u64_le().ok_or(SnapshotError::Truncated)
-    }
-
-    fn bytes(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.0.remaining() < len {
-            return Err(SnapshotError::Truncated);
-        }
-        let (head, tail) = self.0.split_at(len);
-        self.0 = tail;
-        Ok(head)
-    }
-
-    /// Declared element count, refused up front when the buffer cannot
-    /// possibly hold it — keeps adversarial counts from driving huge
-    /// allocations before the truncation is discovered.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        if self.0.remaining() < n.saturating_mul(elem_bytes) {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-/// Serializes `graph` + `labels` into one **v1** snapshot blob.
-///
-/// Refuses (typed, [`SnapshotError::TooLarge`]) any world whose edge
-/// count does not fit the format's `u32` counters instead of silently
-/// truncating it; such worlds ship as v2 ([`crate::arena`]), whose counts
-/// are `u64` throughout.
-pub fn encode_snapshot(graph: &Graph, labels: &HopLabels) -> Result<Vec<u8>, SnapshotError> {
-    if graph.num_edges() > u32::MAX as usize || graph.num_vertices() > u32::MAX as usize {
-        return Err(SnapshotError::TooLarge);
-    }
-    let mut out = Vec::with_capacity(64 + graph.num_edges() * 16 + labels.size_bytes());
-    out.put_slice(MAGIC);
-    out.put_u8(SNAPSHOT_VERSION);
-    out.put_u32_le(graph.num_vertices() as u32);
-    out.put_u32_le(graph.num_edges() as u32);
-    for u in graph.vertices() {
-        for (v, w) in graph.out_edges(u) {
-            out.put_u32_le(u.0);
-            out.put_u32_le(v.0);
-            out.put_u64_le(w);
-        }
-    }
-    let cats = graph.categories();
-    out.put_u32_le(cats.num_categories() as u32);
-    for c in 0..cats.num_categories() {
-        let c = kosr_graph::CategoryId(c as u32);
-        let name = cats.name(c).as_bytes();
-        out.put_u32_le(name.len() as u32);
-        out.put_slice(name);
-        let members = cats.vertices_of(c);
-        out.put_u32_le(members.len() as u32);
-        for &m in members {
-            out.put_u32_le(m.0);
-        }
-    }
-    let label_blob = codec::encode(labels);
-    out.put_u64_le(label_blob.len() as u64);
-    out.extend_from_slice(&label_blob);
-    Ok(out)
-}
-
-/// Decodes a snapshot blob back into its graph and labels.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<(Graph, HopLabels), SnapshotError> {
-    let mut r = Reader(bytes);
-    if r.bytes(8)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    let n = r.u32()? as usize;
-    // The vertex count has no per-vertex payload in the graph section, but
-    // the embedded label blob must hold 2n length-prefixed sets (≥ 8n
-    // bytes) — so a blob shorter than that is lying about `n`. Checking
-    // here keeps a crafted 21-byte header from driving an `n`-sized
-    // allocation before the truncation is discovered.
-    if n.saturating_mul(8) > bytes.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    let m = r.count(16)?;
-    let mut b = GraphBuilder::new(n).with_edge_capacity(m);
-    for _ in 0..m {
-        let u = r.u32()?;
-        let v = r.u32()?;
-        let w = r.u64()?;
-        if u as usize >= n || v as usize >= n {
-            return Err(SnapshotError::Corrupt("edge endpoint out of range"));
-        }
-        b.add_edge(VertexId(u), VertexId(v), w);
-    }
-    let ncats = r.count(8)?;
-    for _ in 0..ncats {
-        let name_len = r.u32()? as usize;
-        let name = std::str::from_utf8(r.bytes(name_len)?)
-            .map_err(|_| SnapshotError::Corrupt("category name is not UTF-8"))?
-            .to_owned();
-        let c = b.categories_mut().add_category(name);
-        let members = r.count(4)?;
-        for _ in 0..members {
-            let v = r.u32()?;
-            if v as usize >= n {
-                return Err(SnapshotError::Corrupt("category member out of range"));
-            }
-            b.categories_mut().insert(VertexId(v), c);
-        }
-    }
-    let label_len = r.u64()?;
-    let label_len = usize::try_from(label_len)
-        .map_err(|_| SnapshotError::Corrupt("label blob length overflows"))?;
-    let labels = codec::decode(r.bytes(label_len)?)?;
-    if labels.num_vertices() != n {
-        return Err(SnapshotError::Corrupt("label vertex count mismatch"));
-    }
-    if r.0.has_remaining() {
-        return Err(SnapshotError::Corrupt("trailing bytes after snapshot"));
-    }
-    Ok((b.build(), labels))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kosr_graph::CategoryId;
-    use kosr_hoplabel::HubOrder;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn v(i: u32) -> VertexId {
-        VertexId(i)
-    }
-
-    fn world(seed: u64) -> (Graph, HopLabels) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 30;
-        let mut b = GraphBuilder::new(n);
-        for _ in 0..4 * n {
-            let a = rng.gen_range(0..n as u32);
-            let c = rng.gen_range(0..n as u32);
-            if a != c {
-                b.add_edge(v(a), v(c), rng.gen_range(1..25));
-            }
-        }
-        let ca = b.categories_mut().add_category("CAFÉ"); // non-ASCII name
-        let cb = b.categories_mut().add_category("B");
-        b.categories_mut().add_category("EMPTY");
-        for i in 0..n as u32 {
-            if i % 3 == 0 {
-                b.categories_mut().insert(v(i), ca);
-            }
-            if i % 5 == 1 {
-                b.categories_mut().insert(v(i), cb);
-            }
-        }
-        let g = b.build();
-        let labels = kosr_hoplabel::build(&g, &HubOrder::Degree);
-        (g, labels)
-    }
-
-    #[test]
-    fn roundtrip_preserves_graph_and_labels() {
-        let (g, labels) = world(7);
-        let blob = encode_snapshot(&g, &labels).unwrap();
-        let (g2, labels2) = decode_snapshot(&blob).unwrap();
-        assert_eq!(g2.num_vertices(), g.num_vertices());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for u in g.vertices() {
-            assert_eq!(
-                g2.out_edges(u).collect::<Vec<_>>(),
-                g.out_edges(u).collect::<Vec<_>>()
-            );
-        }
-        assert_eq!(
-            g2.categories().num_categories(),
-            g.categories().num_categories()
-        );
-        for c in 0..g.categories().num_categories() {
-            let c = CategoryId(c as u32);
-            assert_eq!(g2.categories().name(c), g.categories().name(c));
-            assert_eq!(
-                g2.categories().vertices_of(c),
-                g.categories().vertices_of(c)
-            );
-        }
-        assert_eq!(labels2, labels);
-        // Deterministic bytes: re-encoding the decoded world is identical.
-        assert_eq!(encode_snapshot(&g2, &labels2).unwrap(), blob);
-    }
-
-    #[test]
-    fn truncation_yields_typed_errors_at_every_cut() {
-        let (g, labels) = world(11);
-        let blob = encode_snapshot(&g, &labels).unwrap();
-        for cut in 0..blob.len() {
-            let err = decode_snapshot(&blob[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::BadMagic
-                        | SnapshotError::Truncated
-                        | SnapshotError::Labels(CodecError::Truncated)
-                        | SnapshotError::Labels(CodecError::BadMagic)
-                ),
-                "cut={cut}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn version_and_magic_mismatches_are_typed() {
-        let (g, labels) = world(3);
-        let mut blob = encode_snapshot(&g, &labels).unwrap();
-        blob[0] ^= 0xFF;
-        assert_eq!(decode_snapshot(&blob).unwrap_err(), SnapshotError::BadMagic);
-        blob[0] ^= 0xFF;
-        blob[8] = 99;
-        assert_eq!(
-            decode_snapshot(&blob).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 99 }
-        );
-    }
-
-    #[test]
-    fn corrupt_ids_and_trailing_bytes_are_typed() {
-        let (g, labels) = world(5);
-        let mut blob = encode_snapshot(&g, &labels).unwrap();
-        blob.push(0);
-        assert!(matches!(
-            decode_snapshot(&blob),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        blob.pop();
-        // First edge's source → out of range.
-        let edge_base = 8 + 1 + 4 + 4;
-        blob[edge_base..edge_base + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            decode_snapshot(&blob).unwrap_err(),
-            SnapshotError::Corrupt("edge endpoint out of range")
-        );
-    }
-
-    #[test]
-    fn lying_vertex_counts_refused_before_allocating() {
-        // A crafted header claiming u32::MAX vertices must be a typed
-        // error, not a ~100 GB allocation attempt.
-        let mut blob = Vec::new();
-        blob.extend_from_slice(MAGIC);
-        blob.push(SNAPSHOT_VERSION);
-        blob.extend_from_slice(&u32::MAX.to_le_bytes()); // n
-        blob.extend_from_slice(&0u32.to_le_bytes()); // m
-        assert_eq!(
-            decode_snapshot(&blob).unwrap_err(),
-            SnapshotError::Truncated
-        );
-        // Same hole one layer down: the embedded label codec's own count.
-        let mut label_blob = Vec::new();
-        label_blob.extend_from_slice(b"KOSRHL1\0");
-        label_blob.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            kosr_hoplabel::codec::decode(&label_blob).unwrap_err(),
-            CodecError::Truncated
-        );
-    }
-
-    #[test]
-    fn arbitrary_bytes_never_panic() {
-        let mut rng = StdRng::seed_from_u64(0xF422);
-        for len in 0..200 {
-            let junk: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
-            let _ = decode_snapshot(&junk); // must return, not panic
-                                            // Junk behind a valid header prefix exercises the body paths.
-            let mut framed = Vec::new();
-            framed.extend_from_slice(MAGIC);
-            framed.push(SNAPSHOT_VERSION);
-            framed.extend_from_slice(&junk);
-            let _ = decode_snapshot(&framed);
-        }
-    }
 
     #[test]
     fn errors_render() {
@@ -394,8 +57,5 @@ mod tests {
             .contains('9'));
         assert!(SnapshotError::Truncated.to_string().contains("truncated"));
         assert!(SnapshotError::Corrupt("x").to_string().contains('x'));
-        assert!(SnapshotError::from(CodecError::BadMagic)
-            .to_string()
-            .contains("label"));
     }
 }

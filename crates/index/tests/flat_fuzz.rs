@@ -1,18 +1,14 @@
-//! Fuzz/property suite for the **v2 flat-arena snapshot codec** — the
-//! same total-decode discipline the v1 snapshot and wire fuzz suites
-//! enforce: arbitrary bytes produce typed errors (never a panic, never an
-//! attacker-sized allocation), valid blobs survive mutation rounds with a
-//! typed outcome, and on random worlds the v1 and v2 paths reconstruct
-//! indexes that answer identically.
+//! Fuzz/property suite for the **flat-arena snapshot codec** — the same
+//! total-decode discipline the wire fuzz suite enforces: arbitrary bytes
+//! produce typed errors (never a panic, never an attacker-sized
+//! allocation), valid blobs survive mutation rounds with a typed outcome,
+//! and on random worlds the roundtrip is lossless and deterministic.
 
 use kosr_graph::{CategoryId, Graph, VertexId};
 use kosr_hoplabel::{HopLabels, HubOrder};
-use kosr_index::arena::{
-    blob_version, decode_snapshot_v2, downgrade, encode_snapshot_v2, FlatSnapshot,
-    FLAT_SNAPSHOT_VERSION,
-};
-use kosr_index::snapshot::{decode_snapshot, encode_snapshot};
-use kosr_index::CategoryIndexSet;
+use kosr_index::arena::{decode, encode, FlatSnapshot, FLAT_SNAPSHOT_VERSION};
+use kosr_index::snapshot::SnapshotError;
+use kosr_index::{CategoryBounds, CategoryIndexSet};
 use proptest::prelude::*;
 
 /// Builds a world from proptest-driven raw material: edges and category
@@ -22,7 +18,7 @@ fn world(
     n: usize,
     edges: &[(u32, u32, u64)],
     members: &[(u32, u32)],
-) -> (Graph, HopLabels, CategoryIndexSet) {
+) -> (Graph, HopLabels, CategoryIndexSet, CategoryBounds) {
     let mut b = kosr_graph::GraphBuilder::new(n);
     for &(a, t, w) in edges {
         let (a, t) = (a % n as u32, t % n as u32);
@@ -38,24 +34,22 @@ fn world(
     let g = b.build();
     let labels = kosr_hoplabel::build(&g, &HubOrder::Degree);
     let inverted = CategoryIndexSet::build(&labels, g.categories());
-    (g, labels, inverted)
+    let bounds = CategoryBounds::build(&labels, g.categories());
+    (g, labels, inverted, bounds)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Raw fuzz: any byte vector validates to Ok or a typed error — no
-    /// panic from either codec or the version sniffer.
+    /// panic from the validator or the decoder.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::bits::u8::ANY, 0..200)) {
-        let _ = blob_version(&bytes);
         let _ = FlatSnapshot::validate(&bytes);
-        let _ = decode_snapshot_v2(&bytes);
-        let _ = downgrade(&bytes);
-        let _ = decode_snapshot(&bytes);
+        let _ = decode(&bytes);
     }
 
-    /// Bytes that *start* like a v2 snapshot (magic + version) but carry
+    /// Bytes that *start* like a snapshot (magic + version) but carry
     /// fuzzed counts and body still only produce typed errors.
     #[test]
     fn crafted_headers_never_panic(body in proptest::collection::vec(proptest::bits::u8::ANY, 0..160)) {
@@ -63,21 +57,21 @@ proptest! {
         bytes.push(FLAT_SNAPSHOT_VERSION);
         bytes.extend_from_slice(&body);
         let _ = FlatSnapshot::validate(&bytes);
-        let _ = decode_snapshot_v2(&bytes);
+        let _ = decode(&bytes);
     }
 
-    /// On arbitrary worlds the v2 roundtrip is lossless — graph, labels,
-    /// categories, and inverted indexes all agree — and re-encoding the
-    /// decoded world reproduces the blob bit for bit.
+    /// On arbitrary worlds the roundtrip is lossless — graph, labels,
+    /// categories, inverted indexes and bound tables all agree — and
+    /// re-encoding the decoded world reproduces the blob bit for bit.
     #[test]
     fn random_worlds_roundtrip_losslessly(
         n in 2usize..16,
         edges in proptest::collection::vec((0u32..16, 0u32..16, 1u64..100), 1..40),
         members in proptest::collection::vec((0u32..16, 0u32..3), 0..20),
     ) {
-        let (g, labels, inverted) = world(n, &edges, &members);
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
-        let (g2, labels2, inverted2) = decode_snapshot_v2(&blob).expect("own blob validates");
+        let (g, labels, inverted, bounds) = world(n, &edges, &members);
+        let blob = encode(&g, &labels, &inverted, &bounds);
+        let (g2, labels2, inverted2, bounds2) = decode(&blob).expect("own blob validates");
         for s in g.vertices() {
             prop_assert_eq!(
                 g2.out_edges(s).collect::<Vec<_>>(),
@@ -96,33 +90,8 @@ proptest! {
                 prop_assert_eq!(b.list(h), Some(list));
             }
         }
-        prop_assert_eq!(encode_snapshot_v2(&g2, &labels2, &inverted2), blob);
-    }
-
-    /// The v1 and v2 codecs agree: downgrading a v2 blob yields exactly
-    /// the direct v1 encoding, and decoding either format reconstructs
-    /// the same distances.
-    #[test]
-    fn v1_and_v2_paths_agree(
-        n in 2usize..12,
-        edges in proptest::collection::vec((0u32..12, 0u32..12, 1u64..50), 1..25),
-        members in proptest::collection::vec((0u32..12, 0u32..3), 0..12),
-    ) {
-        let (g, labels, inverted) = world(n, &edges, &members);
-        let v2 = encode_snapshot_v2(&g, &labels, &inverted);
-        let v1 = downgrade(&v2).expect("world fits v1");
-        prop_assert_eq!(&v1, &encode_snapshot(&g, &labels).unwrap());
-        let (g1, l1) = decode_snapshot(&v1).expect("v1 decodes");
-        let (g2, l2, _) = decode_snapshot_v2(&v2).expect("v2 decodes");
-        for s in g.vertices() {
-            prop_assert_eq!(
-                g1.out_edges(s).collect::<Vec<_>>(),
-                g2.out_edges(s).collect::<Vec<_>>()
-            );
-            for t in g.vertices() {
-                prop_assert_eq!(l1.distance(s, t), l2.distance(s, t));
-            }
-        }
+        prop_assert_eq!(&bounds2, &bounds);
+        prop_assert_eq!(encode(&g2, &labels2, &inverted2, &bounds2), blob);
     }
 
     /// Truncations and single-byte mutations of a valid blob never panic:
@@ -135,38 +104,39 @@ proptest! {
         flip_pos in 0usize..usize::MAX,
         flip_bits in 1u8..=255,
     ) {
-        let (g, labels, inverted) = world(
+        let (g, labels, inverted, bounds) = world(
             6,
             &[(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 0, 7)],
             &[(1, 0), (3, 0), (2, 1)],
         );
-        let blob = encode_snapshot_v2(&g, &labels, &inverted);
+        let blob = encode(&g, &labels, &inverted, &bounds);
         let cut = (cut_seed as usize) % (blob.len() + 1);
-        let _ = decode_snapshot_v2(&blob[..cut]);
+        let _ = decode(&blob[..cut]);
         let mut mutated = blob.clone();
         mutated[flip_pos % blob.len()] ^= flip_bits;
-        let _ = decode_snapshot_v2(&mutated);
-        let _ = downgrade(&mutated);
+        let _ = FlatSnapshot::validate(&mutated);
+        let _ = decode(&mutated);
     }
 }
 
-/// Deterministic spot checks complementing the sweeps above.
+/// Deterministic spot check complementing the sweeps above: the arena's
+/// version byte is the only one accepted — the retired rebuild-on-install
+/// format (1) and a hypothetical successor (3) are typed refusals.
 #[test]
-fn version_dispatch_and_interop() {
-    let (g, labels, inverted) = world(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], &[(1, 0)]);
-    let v2 = encode_snapshot_v2(&g, &labels, &inverted);
-    let v1 = encode_snapshot(&g, &labels).unwrap();
-    assert_eq!(blob_version(&v2), Some(2));
-    assert_eq!(blob_version(&v1), Some(1));
-    // The v1 decoder refuses a v2 blob with a *typed* version error (what
-    // an old binary reports when handed the new format).
-    assert!(matches!(
-        decode_snapshot(&v2),
-        Err(kosr_index::snapshot::SnapshotError::UnsupportedVersion { found: 2 })
-    ));
-    // And the v2 validator refuses a v1 blob the same way.
-    assert!(matches!(
-        FlatSnapshot::validate(&v1),
-        Err(kosr_index::snapshot::SnapshotError::UnsupportedVersion { found: 1 })
-    ));
+fn other_format_versions_are_unsupported() {
+    let (g, labels, inverted, bounds) =
+        world(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], &[(1, 0)]);
+    let mut blob = encode(&g, &labels, &inverted, &bounds);
+    assert_eq!(blob[8], FLAT_SNAPSHOT_VERSION);
+    for version in [1u8, 3] {
+        blob[8] = version;
+        assert!(matches!(
+            FlatSnapshot::validate(&blob),
+            Err(SnapshotError::UnsupportedVersion { found }) if found == version
+        ));
+        assert!(matches!(
+            decode(&blob),
+            Err(SnapshotError::UnsupportedVersion { found }) if found == version
+        ));
+    }
 }

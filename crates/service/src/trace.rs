@@ -2,8 +2,8 @@
 //!
 //! A [`TraceContext`] — 128-bit trace id, parent span id, sampled flag —
 //! is minted at the edge, propagated through the router fan-out and the
-//! wire (protocol v3 carries it as an optional trace header on Query
-//! frames), and recorded as [`Span`]s at every tier: gateway parse /
+//! wire (the Query frame carries it as an optional trace context), and
+//! recorded as [`Span`]s at every tier: gateway parse /
 //! serialize, router fan-out / merge, and replica admission / queue /
 //! cache / execute with the paper's pruning counters (PNE expansions,
 //! dominated candidates, expansion budget consumed) as tags.

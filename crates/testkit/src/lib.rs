@@ -204,44 +204,14 @@ impl FaultyTransport {
 }
 
 impl ShardTransport for FaultyTransport {
-    fn submit(&self, query: Query) -> TransportTicket {
+    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
+        // One decision per data-plane frame whether or not a context
+        // rides along, so traced and untraced runs of the same schedule
+        // stay aligned.
         match self.schedule.next_fault() {
             Fault::Drop => TransportTicket::ready(Err(dropped("query frame dropped"))),
             Fault::DropResponse => {
                 // The replica computes the answer; the caller never sees it.
-                let ticket = self.inner.submit(query);
-                TransportTicket::new(move || {
-                    let _ = ticket.wait();
-                    Err(dropped("query response dropped"))
-                })
-            }
-            Fault::Delay => {
-                let delay = self.schedule.delay();
-                let ticket = self.inner.submit(query);
-                TransportTicket::new(move || {
-                    std::thread::sleep(delay);
-                    ticket.wait()
-                })
-            }
-            Fault::Duplicate => {
-                let first = self.inner.submit(query.clone());
-                // The duplicate executes; its response is discarded. (An
-                // unwaited ticket is exactly a response nobody reads.)
-                let _duplicate = self.inner.submit(query);
-                first
-            }
-            Fault::None => self.inner.submit(query),
-        }
-    }
-
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        // Same fault machinery as `submit` — one decision per data-plane
-        // frame, so traced and untraced runs of the same schedule stay
-        // aligned — but the trace context rides through to the inner
-        // transport instead of being dropped by the trait default.
-        match self.schedule.next_fault() {
-            Fault::Drop => TransportTicket::ready(Err(dropped("query frame dropped"))),
-            Fault::DropResponse => {
                 let ticket = self.inner.submit_traced(query, ctx);
                 TransportTicket::new(move || {
                     let _ = ticket.wait();
@@ -258,6 +228,8 @@ impl ShardTransport for FaultyTransport {
             }
             Fault::Duplicate => {
                 let first = self.inner.submit_traced(query.clone(), ctx);
+                // The duplicate executes; its response is discarded. (An
+                // unwaited ticket is exactly a response nobody reads.)
                 let _duplicate = self.inner.submit_traced(query, ctx);
                 first
             }
@@ -293,6 +265,13 @@ impl ShardTransport for FaultyTransport {
 
     fn ping(&self) -> Result<Heartbeat, TransportError> {
         self.inner.ping()
+    }
+
+    fn ping_events(
+        &self,
+        since_seq: u64,
+    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
+        self.inner.ping_events(since_seq)
     }
 
     fn member_counts(&self) -> Result<MemberCounts, TransportError> {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use kosr_core::{IndexedGraph, Query};
 use kosr_graph::{Graph, PartitionConfig, Partitioner};
-use kosr_service::{KosrService, ServiceConfig, ServiceError, Update};
+use kosr_service::{EventKind, KosrService, ServiceConfig, ServiceError, Source, Update};
 use kosr_shard::{
     FleetSupervisor, ShardError, ShardRouter, ShardSet, ShardedResponse, SupervisorConfig,
 };
@@ -300,7 +300,8 @@ fn faulted_sharded_topk_matches_unsharded_oracle_bit_for_bit() {
 }
 
 /// Sanity floor: with a quiet schedule the wrapper is invisible — zero
-/// injected faults, zero failovers, bit-identical results.
+/// injected faults, zero failovers, bit-identical results, and the
+/// event-forwarding heartbeat reaches the replicas through it.
 #[test]
 fn quiet_schedules_inject_nothing() {
     let g = random_world(50);
@@ -328,6 +329,22 @@ fn quiet_schedules_inject_nothing() {
     for j in 0..router.num_shards() {
         assert_eq!(router.replica_set(j).failovers(), 0);
     }
+    // A replica journals its epoch swap locally; the supervisor's next
+    // heartbeat must carry it into the fleet journal, wrapper or not.
+    let flips = gen_membership_flips(&g, 16, 50);
+    let flip = flips
+        .iter()
+        .find(|f| f.insert != g.categories().has_category(f.vertex, f.category))
+        .expect("a flip that changes a membership");
+    publish_mirrored(&router.update_bus(), &sup, &oracle, &flip_to_update(flip));
+    sup.tick();
+    assert!(
+        router.events().recent().iter().any(|e| {
+            e.kind == EventKind::EpochSwap && matches!(e.source, Source::Replica { .. })
+        }),
+        "no replica epoch_swap was forwarded: {:?}",
+        router.events().recent()
+    );
 }
 
 /// Deterministic rejections must pass through the fault layer untouched

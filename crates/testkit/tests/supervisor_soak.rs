@@ -158,12 +158,12 @@ fn log_stays_bounded_and_long_downed_replica_refreshes_by_snapshot() {
     assert!(report.snapshot_refreshes >= 1, "{report:?}");
     let (cursor, _, tail) = bus.cursor_state(0, 1);
     assert_eq!(cursor, tail, "refreshed replica is caught up");
-    // Same-version fleet, so the refresh that just ran pulled the v2
-    // arena blob — byte 8 of the snapshot layout names the codec version.
+    // The refresh that just ran pulled the arena blob — byte 8 of the
+    // snapshot layout names the codec version.
     assert_eq!(
         probe.snapshot().unwrap().bytes[8],
         2,
-        "a v5 fleet must snapshot-refresh with the v2 arena format"
+        "a fleet must snapshot-refresh with the flat-arena format"
     );
 
     // And the converged fleet answers bit-identically to the oracle.

@@ -5,11 +5,6 @@
 //! forests: unique span ids, exactly one root, every parent resolving, no
 //! child outliving its parent, replica stage sums within the replica
 //! wall ([`Trace::validate`]).
-//!
-//! Mixed-version fleets are covered too: a fleet where some replicas
-//! negotiated protocol v2 answers bit-identically to the oracle, traces
-//! degrade per-shard (v2-answered shards simply carry no replica spans),
-//! and nothing orphans.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +14,7 @@ use kosr_graph::{Graph, PartitionConfig, Partitioner};
 use kosr_service::{KosrService, ServiceConfig, Span, Trace, TraceContext, TraceId};
 use kosr_shard::{ShardError, ShardRouter, ShardSet, ShardedResponse, SupervisorConfig};
 use kosr_testkit::{FaultConfig, FaultSchedule, FaultyTransport};
-use kosr_transport::{InProcTransport, KillSwitch};
+use kosr_transport::KillSwitch;
 use kosr_workloads::{assign_uniform, gen_mixed_traffic, road_grid_directed, TrafficMix};
 
 fn world(seed: u64) -> Graph {
@@ -242,60 +237,5 @@ fn duplicate_delivery_never_duplicates_spans() {
         let (resp, trace) = traced_ask(&router, None, q, trace_id).expect("duplicates are benign");
         assert_complete(&resp, &trace, true, &format!("duplicate storm q{i}"));
         assert_answer_matches(&resp, &oracle, q, &format!("duplicate storm q{i}"));
-    }
-}
-
-/// Mixed v3/v2 fleets: even-numbered shards serve from a v2-capped
-/// primary (its Hello negotiates down, traced frames fall back to the
-/// plain v2 exchange), odd shards from a v3 one. Answers are
-/// bit-identical to the oracle either way; traces degrade *per shard* —
-/// the v2-answered shard spans simply have no replica children — without
-/// ever orphaning a span.
-#[test]
-fn mixed_version_fleets_stay_bit_identical_and_trace_what_they_can() {
-    let g = world(91);
-    let ig = IndexedGraph::build_default(g.clone());
-    let partition = Partitioner::new(PartitionConfig {
-        num_shards: 3,
-        ..Default::default()
-    })
-    .partition(&ig.graph);
-    let config = service_config();
-    let oracle = KosrService::new(Arc::new(ig.clone()), config.clone());
-    let router =
-        ShardRouter::with_replicas(ShardSet::build(&ig, partition), config, 1, |j, _, t| {
-            if j % 2 == 0 {
-                Arc::new(InProcTransport::with_max_version(
-                    Arc::clone(t.service()),
-                    2,
-                ))
-            } else {
-                Arc::new(t)
-            }
-        });
-    for (i, q) in queries_for(&g, 12, 0x91).iter().enumerate() {
-        let trace_id = TraceId::from_parts(91, i as u64);
-        let (resp, trace) = traced_ask(&router, None, q, trace_id).expect("mixed fleet answers");
-        let label = format!("mixed fleet q{i}");
-        // Structure first (without the all-replicas-traced expectation)…
-        assert_complete(&resp, &trace, false, &label);
-        assert_answer_matches(&resp, &oracle, q, &label);
-        // …then the per-shard degradation: replica spans exactly where
-        // the answering peer speaks v3.
-        for shard_span in trace.spans.iter().filter(|s| s.name == "shard") {
-            let shard_j = shard_span
-                .tag_u64("shard")
-                .expect("shard spans are tagged with their index")
-                as usize;
-            let has_replica = trace
-                .children_of(shard_span.id)
-                .iter()
-                .any(|c| c.name == "replica");
-            assert_eq!(
-                has_replica,
-                shard_j % 2 == 1,
-                "{label}: shard {shard_j} traced-ness should follow its peer version"
-            );
-        }
     }
 }

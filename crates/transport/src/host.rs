@@ -7,68 +7,47 @@ use std::sync::Arc;
 use kosr_core::IndexedGraph;
 use kosr_service::KosrService;
 
-use crate::protocol::{
-    Heartbeat, MemberCounts, RemoteResponse, Request, Response, SnapshotBlob, PROTOCOL_VERSION,
-};
+use crate::protocol::{Heartbeat, MemberCounts, RemoteResponse, Request, Response, SnapshotBlob};
 
 /// Answers one request against `service`. Query requests block until the
 /// service responds (the caller decides how to overlap requests — the TCP
 /// server runs one handler thread per in-flight request, the in-process
 /// transport keeps the service's own ticket asynchrony).
 pub fn handle_request(service: &Arc<KosrService>, req: Request) -> Response {
-    match req {
-        Request::Query(q) => Response::Query(service.submit(q).and_then(|t| t.wait()).map(
-            |resp| RemoteResponse {
-                outcome: resp.outcome,
-                cached: resp.cached,
-                spans: Vec::new(),
-            },
-        )),
-        Request::QueryTraced(q, ctx) => Response::Query(
+    let query = |q, ctx| {
+        Response::Query(
             service
-                .submit_traced(q, Some(ctx))
+                .submit_traced(q, ctx)
                 .and_then(|t| t.wait())
                 .map(|resp| RemoteResponse {
                     outcome: resp.outcome,
                     cached: resp.cached,
                     spans: resp.spans,
                 }),
-        ),
-        Request::Hello { max_version: _ } => Response::Hello {
-            max_version: PROTOCOL_VERSION,
-        },
+        )
+    };
+    match req {
+        Request::Query(q) => query(q, None),
+        Request::QueryTraced(q, ctx) => query(q, Some(ctx)),
         Request::Update(u) => Response::Update(service.apply_update(&u)),
-        Request::Ping => Response::Pong(Heartbeat {
-            epoch: service.index_epoch(),
-        }),
-        Request::MemberCounts => Response::MemberCounts(member_counts(service)),
-        Request::Snapshot => {
-            // The legacy pull promises a v1 blob; a world too large for
-            // v1's u32 counts is a typed refusal, never a truncated blob.
-            let (epoch, ig) = service.epoch_and_index();
-            match ig.encode_snapshot_v1() {
-                Ok(bytes) => Response::Snapshot(SnapshotBlob { epoch, bytes }),
-                Err(_) => Response::Fault(crate::protocol::ProtocolError::Corrupt(
-                    "snapshot exceeds the v1 format; pull with SnapshotV2",
-                )),
+        Request::Ping { since_seq } => {
+            let journal = service.events();
+            Response::Pong {
+                heartbeat: Heartbeat {
+                    epoch: service.index_epoch(),
+                },
+                next_seq: journal.next_seq(),
+                events: since_seq
+                    .map_or_else(Vec::new, |seq| journal.events_since(seq, None, None)),
             }
         }
-        Request::SnapshotV2 => {
+        Request::MemberCounts => Response::MemberCounts(member_counts(service)),
+        Request::Snapshot => {
             let (epoch, ig) = service.epoch_and_index();
             Response::Snapshot(SnapshotBlob {
                 epoch,
                 bytes: ig.encode_snapshot(),
             })
-        }
-        Request::PingEvents { since_seq } => {
-            let journal = service.events();
-            Response::PongEvents {
-                heartbeat: Heartbeat {
-                    epoch: service.index_epoch(),
-                },
-                next_seq: journal.next_seq(),
-                events: journal.events_since(since_seq, None, None),
-            }
         }
         Request::Compact { through } => match service.advance_log_head(through) {
             Ok(head) => Response::Compacted { head },

@@ -6,7 +6,7 @@
 //! fault-injection test suites built on them) exercise byte-for-byte the
 //! same protocol as TCP ones.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kosr_core::Query;
@@ -14,9 +14,8 @@ use kosr_service::{KosrService, TraceContext, Update, UpdateReceipt};
 
 use crate::host::handle_request;
 use crate::protocol::{
-    adapt_blob_for_peer, decode_request_limited, decode_response, encode_request, encode_response,
-    Heartbeat, MemberCounts, ProtocolError, RemoteResponse, Request, Response, SnapshotBlob,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SNAPSHOT_V2_VERSION,
+    decode_request, decode_response, encode_request, encode_response, Heartbeat, MemberCounts,
+    ProtocolError, RemoteResponse, Request, Response, SnapshotBlob,
 };
 use crate::{ShardTransport, TransportError, TransportTicket};
 
@@ -39,19 +38,11 @@ pub(crate) fn expect_update(resp: Response) -> Result<UpdateReceipt, TransportEr
     }
 }
 
-pub(crate) fn expect_pong(resp: Response) -> Result<Heartbeat, TransportError> {
-    match resp {
-        Response::Pong(hb) => Ok(hb),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_pong_events(
+pub(crate) fn expect_pong(
     resp: Response,
 ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
     match resp {
-        Response::PongEvents {
+        Response::Pong {
             heartbeat,
             next_seq,
             events,
@@ -137,14 +128,6 @@ pub struct InProcTransport {
     service: Arc<KosrService>,
     killed: Arc<AtomicBool>,
     next_id: AtomicU64,
-    /// The protocol version the simulated replica *speaks* — capping it at
-    /// 2 makes this loopback behave exactly like a v2-era binary (traced
-    /// frames fault typed, Hello is an unknown kind), which is what the
-    /// mixed-fleet interop suites run against.
-    peer_version: u8,
-    /// The peer version learned through [`Request::Hello`]; 0 until the
-    /// first traced submission negotiates.
-    negotiated: AtomicU8,
 }
 
 impl InProcTransport {
@@ -154,43 +137,7 @@ impl InProcTransport {
             service,
             killed: Arc::new(AtomicBool::new(false)),
             next_id: AtomicU64::new(1),
-            peer_version: PROTOCOL_VERSION,
-            negotiated: AtomicU8::new(0),
         }
-    }
-
-    /// Wraps `service` as a loopback replica that speaks at most
-    /// `version` — the v2-peer simulation lever for interop tests.
-    pub fn with_max_version(service: Arc<KosrService>, version: u8) -> InProcTransport {
-        let mut t = InProcTransport::new(service);
-        t.peer_version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        t
-    }
-
-    /// Learns the peer's protocol version (cached after the first probe):
-    /// a Hello roundtrip that a v3 peer answers with its version and a v2
-    /// peer faults with `UnknownKind` — the negotiation the doc block of
-    /// [`crate::protocol`] describes.
-    fn peer_protocol_version(&self) -> u8 {
-        let cached = self.negotiated.load(Ordering::Acquire);
-        if cached != 0 {
-            return cached;
-        }
-        let learned = match self.roundtrip(Request::Hello {
-            max_version: PROTOCOL_VERSION,
-        }) {
-            Ok(Response::Hello { max_version }) => {
-                max_version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
-            }
-            // A typed fault (UnknownKind from a v2 peer): the peer
-            // answered, and its answer says v2. Cacheable.
-            Ok(_) => MIN_PROTOCOL_VERSION,
-            // Channel trouble — no answer at all. Fall back to v2 for
-            // this submission but do NOT cache: the peer may be v3.
-            Err(_) => return MIN_PROTOCOL_VERSION,
-        };
-        self.negotiated.store(learned, Ordering::Release);
-        learned
     }
 
     /// The wrapped service (introspection and tests).
@@ -218,20 +165,11 @@ impl InProcTransport {
         }
         let id = self.fresh_id();
         let frame = encode_request(id, &req);
-        // Server side, decoding as the (possibly version-capped) peer
-        // would: an undecodable frame is answered with a typed Fault —
-        // the same contract the TCP server keeps.
-        let resp = match decode_request_limited(&frame, self.peer_version) {
+        // Server side: an undecodable frame is answered with a typed
+        // Fault — the same contract the TCP server keeps.
+        let resp = match decode_request(&frame) {
             Ok((_, req)) => handle_request(&self.service, req),
             Err(e) => Response::Fault(e),
-        };
-        // A version-capped simulation must *answer Hello* as the old
-        // binary would — with its own (capped) version, not this build's.
-        let resp = match resp {
-            Response::Hello { max_version } => Response::Hello {
-                max_version: max_version.min(self.peer_version),
-            },
-            other => other,
         };
         let frame = encode_response(id, &resp);
         let (echoed_id, resp) = decode_response(&frame)?;
@@ -242,21 +180,21 @@ impl InProcTransport {
         }
         Ok(resp)
     }
+}
 
-    /// The shared submit path. With a (sampled) context the request goes
-    /// out as a traced v3 frame and the response carries replica spans;
-    /// without one it is byte-for-byte the v2 exchange.
-    fn submit_inner(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
+impl ShardTransport for InProcTransport {
+    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
         if self.killed.load(Ordering::Acquire) {
             return TransportTicket::ready(Err(killed_error()));
         }
         let id = self.fresh_id();
-        let req = match ctx {
+        // Only sampled contexts are worth their bytes on the wire.
+        let req = match ctx.filter(|c| c.sampled) {
             Some(c) => Request::QueryTraced(query, c),
             None => Request::Query(query),
         };
         let frame = encode_request(id, &req);
-        let (decoded, ctx) = match decode_request_limited(&frame, self.peer_version) {
+        let (decoded, ctx) = match decode_request(&frame) {
             Ok((_, Request::Query(q))) => (q, None),
             Ok((_, Request::QueryTraced(q, c))) => (q, Some(c)),
             Ok(_) => return TransportTicket::ready(Err(unexpected())),
@@ -285,29 +223,13 @@ impl InProcTransport {
             expect_query(resp)
         })
     }
-}
-
-impl ShardTransport for InProcTransport {
-    fn submit(&self, query: Query) -> TransportTicket {
-        self.submit_inner(query, None)
-    }
-
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        // Only sampled contexts are worth a traced frame; and only peers
-        // that negotiated v3 can decode one.
-        let ctx = ctx.filter(|c| c.sampled);
-        if ctx.is_some() && self.peer_protocol_version() < 3 {
-            return self.submit_inner(query, None);
-        }
-        self.submit_inner(query, ctx)
-    }
 
     fn apply_update(&self, update: &Update) -> Result<UpdateReceipt, TransportError> {
         expect_update(self.roundtrip(Request::Update(*update))?)
     }
 
     fn ping(&self) -> Result<Heartbeat, TransportError> {
-        expect_pong(self.roundtrip(Request::Ping)?)
+        expect_pong(self.roundtrip(Request::Ping { since_seq: None })?).map(|(hb, _, _)| hb)
     }
 
     fn member_counts(&self) -> Result<MemberCounts, TransportError> {
@@ -315,22 +237,11 @@ impl ShardTransport for InProcTransport {
     }
 
     fn snapshot(&self) -> Result<SnapshotBlob, TransportError> {
-        // Peers that negotiated v5 serve the flat-arena blob (O(bytes)
-        // install); older ones only know the legacy v1 pull.
-        let req = if self.peer_protocol_version() >= SNAPSHOT_V2_VERSION {
-            Request::SnapshotV2
-        } else {
-            Request::Snapshot
-        };
-        expect_snapshot(self.roundtrip(req)?)
+        expect_snapshot(self.roundtrip(Request::Snapshot)?)
     }
 
     fn install_snapshot(&self, blob: &SnapshotBlob) -> Result<Heartbeat, TransportError> {
-        // Pushing a v2 blob at a pre-v5 peer: transcode down client-side
-        // so the old binary installs it natively.
-        let blob = adapt_blob_for_peer(blob, self.peer_protocol_version())
-            .map_err(TransportError::Snapshot)?;
-        expect_install(self.roundtrip(Request::InstallSnapshot(blob))?)
+        expect_install(self.roundtrip(Request::InstallSnapshot(blob.clone()))?)
     }
 
     fn compact(&self, through: u64) -> Result<u64, TransportError> {
@@ -341,12 +252,9 @@ impl ShardTransport for InProcTransport {
         &self,
         since_seq: u64,
     ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-        // Only peers that negotiated v4 can decode the event-forwarding
-        // probe; older ones get the plain heartbeat with an empty drain.
-        if self.peer_protocol_version() < 4 {
-            return self.ping().map(|hb| (hb, 0, Vec::new()));
-        }
-        expect_pong_events(self.roundtrip(Request::PingEvents { since_seq })?)
+        expect_pong(self.roundtrip(Request::Ping {
+            since_seq: Some(since_seq),
+        })?)
     }
 }
 
@@ -469,32 +377,10 @@ mod tests {
             .expect("replica root span");
         assert_eq!(root.parent, Some(ctx.parent_span));
         assert!(resp.spans.iter().any(|s| s.name == "execute"));
-        // Unsampled contexts cost nothing: the plain v2 exchange.
+        // Unsampled contexts cost nothing: the plain exchange.
         let unsampled = TraceContext::root(kosr_service::TraceId(8), false);
         let resp = t.submit_traced(q, Some(unsampled)).wait().unwrap();
         assert!(resp.spans.is_empty());
-    }
-
-    #[test]
-    fn v2_peer_negotiates_down_and_still_answers() {
-        let fx = figure1();
-        let ig = Arc::new(IndexedGraph::build_default(fx.graph.clone()));
-        let svc = Arc::new(KosrService::new(
-            ig,
-            ServiceConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        ));
-        let t = InProcTransport::with_max_version(svc, 2);
-        let ctx = TraceContext::root(kosr_service::TraceId(9), true);
-        let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 3);
-        // The Hello probe faults typed, the transport falls back to the
-        // untraced frame, and the answer is still the canonical one.
-        let resp = t.submit_traced(q, Some(ctx)).wait().unwrap();
-        assert_eq!(resp.outcome.costs(), vec![20, 21, 22]);
-        assert!(resp.spans.is_empty(), "a v2 peer cannot produce spans");
-        assert_eq!(t.negotiated.load(Ordering::Acquire), 2, "cached as v2");
     }
 
     #[test]
@@ -520,13 +406,6 @@ mod tests {
         // The cursor advances: a second probe from `next` drains nothing.
         let (_, _, rest) = t.ping_events(next).unwrap();
         assert!(rest.is_empty(), "cursor excludes already-forwarded events");
-
-        // A v2 peer degrades to the plain heartbeat with an empty drain.
-        let v2 = InProcTransport::with_max_version(Arc::clone(t.service()), 2);
-        let (hb, next, events) = v2.ping_events(0).unwrap();
-        assert_eq!(hb.epoch, 1);
-        assert_eq!(next, 0);
-        assert!(events.is_empty());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! The wire layer that takes `kosr-shard` past one process: a
 //! length-prefixed binary [`protocol`] (request/response + update-publish
-//! frames, versioned encode/decode) behind the [`ShardTransport`] trait,
+//! frames, one version stamped on every frame) behind the
+//! [`ShardTransport`] trait,
 //! with two implementations and a replica-fleet abstraction on top:
 //!
 //! | piece | role |
 //! |---|---|
-//! | [`protocol`] | versioned frames: queries, §IV-C updates, heartbeats, member counts, snapshots |
+//! | [`protocol`] | the frames: queries, §IV-C updates, heartbeats, member counts, snapshots |
 //! | [`InProcTransport`] | loopback through the full encode/decode path, plus a kill switch for fault tests |
 //! | [`TcpTransport`] / [`TcpServer`] | each replica behind a socket, a pooled blocking client in front |
 //! | [`ReplicaSet`] | N replicas per shard: health state, heartbeats, retry-on-next-replica failover |
@@ -86,18 +87,13 @@ impl std::fmt::Debug for TransportTicket {
 /// identical bytes.
 pub trait ShardTransport: Send + Sync {
     /// Sends a query frame; the ticket blocks for the response frame.
-    fn submit(&self, query: Query) -> TransportTicket;
-
-    /// Sends a query with a trace context attached. Implementations that
-    /// speak protocol v3 send the traced frame (after negotiating the
-    /// peer's version) and return replica-side spans on the response;
-    /// the default drops the context and behaves exactly like
-    /// [`ShardTransport::submit`] — the correct degradation for v2-era
-    /// peers and transports that predate tracing.
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        let _ = ctx;
-        self.submit(query)
+    fn submit(&self, query: Query) -> TransportTicket {
+        self.submit_traced(query, None)
     }
+
+    /// Sends a query frame carrying `ctx` when it is present and sampled;
+    /// the response then returns the replica-side spans.
+    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket;
 
     /// Sends an update-publish frame and waits for the receipt.
     fn apply_update(&self, update: &Update) -> Result<UpdateReceipt, TransportError>;
@@ -124,16 +120,11 @@ pub trait ShardTransport: Send + Sync {
     fn compact(&self, through: u64) -> Result<u64, TransportError>;
 
     /// Heartbeat that also drains the replica's local lifecycle journal
-    /// from `since_seq` (the protocol-v4 event-forwarding probe): returns
-    /// the liveness report, the journal's next sequence (the cursor for
-    /// the following probe) and the drained events. The default degrades
-    /// to a plain [`ShardTransport::ping`] with an empty drain — correct
-    /// for pre-v4 peers and transports that predate the journal.
+    /// from `since_seq`: returns the liveness report, the journal's next
+    /// sequence (the cursor for the following probe) and the drained
+    /// events.
     fn ping_events(
         &self,
         since_seq: u64,
-    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-        let _ = since_seq;
-        self.ping().map(|hb| (hb, 0, Vec::new()))
-    }
+    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError>;
 }

@@ -164,12 +164,16 @@ mod tests {
     use crate::protocol::Heartbeat;
 
     fn pong(epoch: u64) -> Response {
-        Response::Pong(Heartbeat { epoch })
+        Response::Pong {
+            heartbeat: Heartbeat { epoch },
+            next_seq: 0,
+            events: Vec::new(),
+        }
     }
 
     fn epoch_of(resp: Response) -> u64 {
         match resp {
-            Response::Pong(hb) => hb.epoch,
+            Response::Pong { heartbeat, .. } => heartbeat.epoch,
             other => panic!("not a pong: {other:?}"),
         }
     }

@@ -1,8 +1,8 @@
 //! The length-prefixed binary wire protocol replicas speak.
 //!
 //! Every message is one **frame**: a little-endian `u32` byte length
-//! followed by the payload. A payload starts with a version byte, a kind
-//! byte and a **frame id**, then the kind's body:
+//! followed by the payload. A payload starts with a fixed 10-byte header —
+//! version byte, kind byte, **frame id** — then the kind's body:
 //!
 //! ```text
 //! frame   := u32 len | payload            (len ≤ MAX_FRAME_LEN)
@@ -16,50 +16,37 @@
 //! in any order, interleaved, duplicated or delayed without ever being
 //! delivered to the wrong caller (the mux property suite hammers this).
 //!
-//! Request kinds carry queries, §IV-C update-publish frames, heartbeats,
-//! member-count probes, snapshot pulls/pushes and update-log compaction
-//! notices; response kinds mirror them, including the remote's *typed*
-//! service/update rejections so a client can distinguish a deterministic
-//! "no" (don't fail over) from channel trouble (do fail over).
+//! ## Kinds
+//!
+//! | request | body | response |
+//! |---|---|---|
+//! | `Query` | the query, then an optional trace context | `QueryOk` (outcome, cache flag, possibly-empty span list) or `QueryErr` (typed service rejection) |
+//! | `Update` | one §IV-C update | `UpdateOk` / `UpdateErr` |
+//! | `Ping` | an optional journal cursor | `Pong`: epoch, the journal's next sequence, the events drained from the cursor (none without one) |
+//! | `MemberCounts` | — | `MemberCounts` |
+//! | `Snapshot` | — | `Snapshot`: the flat-arena blob of `kosr_index::arena` |
+//! | `InstallSnapshot` | a blob | `InstallOk` / `InstallErr` (typed blob refusal) |
+//! | `Compact` | the new log head | `Compacted` / `CursorTooOld` |
+//!
+//! plus `Fault`, the replica's answer to a request frame it could not
+//! decode. The remote's *typed* rejections travel as values so a client
+//! can distinguish a deterministic "no" (don't fail over) from channel
+//! trouble (do fail over).
 //!
 //! Decoding is **total**: arbitrary bytes produce a typed
-//! [`ProtocolError`], never a panic, and a frame with an unknown version
-//! byte is reported as [`ProtocolError::VersionMismatch`] — the wire fuzz
-//! suite hammers both properties.
+//! [`ProtocolError`], never a panic — the wire fuzz suite hammers this.
 //!
-//! ## Version negotiation (v2 ↔ v3 ↔ v4)
+//! ## One version
 //!
-//! Version 3 adds an optional **trace header** on Query frames
-//! ([`Request::QueryTraced`]) and a span list on their responses. Every
-//! frame's version byte names the *lowest* revision able to decode it:
-//! the pre-existing kinds still travel stamped `2`, so a v2 peer keeps
-//! decoding everything it ever could, and only the new traced kinds are
-//! stamped `3`. Clients discover a peer's revision with
-//! [`Request::Hello`] (itself a v2-decodable frame): a v3 peer answers
-//! [`Response::Hello`], a v2 peer answers a typed
-//! `Fault(UnknownKind)` — either way the connection survives and the
-//! client knows whether traced frames may be sent. A client that skips
-//! negotiation simply sends untraced Query frames and loses nothing but
-//! replica-side spans.
-//!
-//! Version 4 adds the **event-forwarding heartbeat**
-//! ([`Request::PingEvents`] / [`Response::PongEvents`]): a liveness probe
-//! that also drains the replica's local lifecycle journal (epoch swaps,
-//! calibration adjustments) from a client-held cursor, so fleet event
-//! collection piggybacks on the heartbeats the supervisor already sends —
-//! no extra round trips. Only the new kind pair is stamped `4`; the
-//! traced kinds stay stamped `3` and everything older stays `2`, so
-//! mixed v2/v3/v4 fleets keep interoperating and a client talking to an
-//! older peer falls back to the plain [`Request::Ping`].
-//!
-//! Version 5 adds the **flat-arena snapshot pull** ([`Request::SnapshotV2`]):
-//! a snapshot request whose response blob is the v2 zero-copy format of
-//! `kosr_index::arena` (the response reuses the existing Snapshot kind —
-//! the blob's own version byte names its format). Clients only send the
-//! new kind to peers that negotiated ≥ 5; to older peers they fall back
-//! to [`Request::Snapshot`] (a v1 blob), and when *pushing* a v2 blob at
-//! an older peer they transcode it down first. Either way every fleet
-//! member keeps installing byte-identical indexes.
+//! Every frame is stamped [`PROTOCOL_VERSION`] and a decoder accepts
+//! nothing else: any other byte is [`ProtocolError::VersionMismatch`], an
+//! unassigned kind byte is [`ProtocolError::UnknownKind`], and a server
+//! answers either with a `Fault` addressed to the offending frame's id
+//! while the connection keeps serving. A fleet runs one build, so there is
+//! no negotiation. When a real older fleet has to be bridged, regrow the
+//! ladder from those refusals: bump the byte, add the new kind, and let
+//! old peers answer `VersionMismatch` — the typed fault a newer client
+//! reads as "fall back".
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -73,29 +60,10 @@ use kosr_service::{
     TraceId, Update, UpdateError, UpdateReceipt,
 };
 
-/// The wire version this build writes and understands. Version 2 added
-/// the frame id (multiplexing) and the `Compact`/`InstallSnapshot`
-/// surface; version 3 added the negotiated trace header on Query frames;
-/// version 4 added the event-forwarding heartbeat; version 5 adds the
-/// flat-arena (v2-format) snapshot pull.
-pub const PROTOCOL_VERSION: u8 = 5;
-
-/// The oldest wire version this build still accepts. Frames carry the
-/// lowest version able to decode them, so a v2-era peer interoperates
-/// with a v4 fleet for everything but the traced and event-forwarding
-/// kinds.
-pub const MIN_PROTOCOL_VERSION: u8 = 2;
-
-/// The revision that introduced the traced Query kinds — their frames
-/// stay stamped `3` even as [`PROTOCOL_VERSION`] advances, so genuine v3
-/// peers keep decoding them.
-const TRACED_VERSION: u8 = 3;
-
-/// The revision that introduced the event-forwarding heartbeat kinds.
-const EVENTS_VERSION: u8 = 4;
-
-/// The revision that introduced the flat-arena snapshot pull kind.
-pub(crate) const SNAPSHOT_V2_VERSION: u8 = 5;
+/// The one wire version this build writes and accepts, stamped on every
+/// frame. (Versions 2–5 were a negotiated ladder; 6 is distinct from all
+/// of them so no frame of that ladder can be mistaken for a current one.)
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Upper bound on one frame's payload; larger length prefixes are refused
 /// before any allocation (snapshots of big shards dominate frame size).
@@ -130,8 +98,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::VersionMismatch { found } => {
                 write!(
                     f,
-                    "protocol version mismatch: found {found}, speak \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+                    "protocol version mismatch: found {found}, speak {PROTOCOL_VERSION}"
                 )
             }
             ProtocolError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
@@ -168,7 +135,7 @@ pub struct MemberCounts {
 pub struct SnapshotBlob {
     /// The index epoch the snapshot was taken at.
     pub epoch: u64,
-    /// The `kosr-index` snapshot codec blob.
+    /// The `kosr_index::arena` flat-arena blob.
     pub bytes: Vec<u8>,
 }
 
@@ -179,9 +146,7 @@ pub struct RemoteResponse {
     pub outcome: KosrOutcome,
     /// `true` when the remote served it from its result cache.
     pub cached: bool,
-    /// Replica-side spans for sampled traced queries; empty otherwise
-    /// (and always empty from v2 peers). An empty list keeps the
-    /// response on the v2 wire encoding, bit for bit.
+    /// Replica-side spans for sampled traced queries; empty otherwise.
     pub spans: Vec<Span>,
 }
 
@@ -190,13 +155,25 @@ pub struct RemoteResponse {
 pub enum Request {
     /// Answer this query.
     Query(Query),
+    /// Answer this query and return replica-side spans for the carried
+    /// trace context. On the wire this is the Query kind with its
+    /// optional trace context present; it is a variant of its own only
+    /// because `Query(Query)` is a spelling other crates build against.
+    QueryTraced(Query, TraceContext),
     /// Apply this §IV-C update (the update-publish frame).
     Update(Update),
-    /// Report liveness + epoch.
-    Ping,
+    /// Heartbeat: report liveness + epoch. With a cursor it also ships the
+    /// replica's local lifecycle events with sequence ≥ `since_seq` —
+    /// fleet event collection piggybacked on the probe the supervisor
+    /// already sends.
+    Ping {
+        /// The client's journal cursor (events below it were already
+        /// forwarded); `None` drains nothing.
+        since_seq: Option<u64>,
+    },
     /// Report per-category member counts.
     MemberCounts,
-    /// Ship an index snapshot.
+    /// Ship an index snapshot (the flat-arena blob).
     Snapshot,
     /// The upstream update log was compacted: entries below `through` are
     /// gone. The replica records the watermark (its own floor for replay
@@ -211,35 +188,6 @@ pub enum Request {
     /// Push an index snapshot *into* the replica (supervisor-driven
     /// refresh of a replica too far behind the update log to replay).
     InstallSnapshot(SnapshotBlob),
-    /// Answer this query and return replica-side spans for the carried
-    /// trace context — the protocol-v3 traced Query frame. Send only to
-    /// peers that answered [`Request::Hello`] with version ≥ 3.
-    QueryTraced(Query, TraceContext),
-    /// Version negotiation probe: carries the sender's highest spoken
-    /// version. Stamped v2 on the wire so *any* peer can decode the
-    /// header — a v2 peer answers `Fault(UnknownKind)`, typed, and the
-    /// connection survives.
-    Hello {
-        /// The sender's [`PROTOCOL_VERSION`].
-        max_version: u8,
-    },
-    /// The protocol-v4 event-forwarding heartbeat: report liveness +
-    /// epoch *and* ship the replica's local lifecycle events with
-    /// sequence ≥ `since_seq` — fleet event collection piggybacked on
-    /// the heartbeat the supervisor already sends. Send only to peers
-    /// that answered [`Request::Hello`] with version ≥ 4.
-    PingEvents {
-        /// The client's journal cursor: events below it were already
-        /// forwarded.
-        since_seq: u64,
-    },
-    /// Ship an index snapshot in the **v2 flat-arena format**
-    /// (`kosr_index::arena`) — the protocol-v5 pull whose blob installs
-    /// as a bounds-checked reinterpretation instead of a rebuild. The
-    /// answer is the same [`Response::Snapshot`] kind (the blob's own
-    /// version byte names its format). Send only to peers that answered
-    /// [`Request::Hello`] with version ≥ 5.
-    SnapshotV2,
 }
 
 /// Replica → client messages.
@@ -249,8 +197,19 @@ pub enum Response {
     Query(Result<RemoteResponse, ServiceError>),
     /// The update's receipt, or the service's typed rejection.
     Update(Result<UpdateReceipt, UpdateError>),
-    /// Liveness.
-    Pong(Heartbeat),
+    /// Answer to [`Request::Ping`]: liveness plus the replica's journal
+    /// drain from the requested cursor.
+    Pong {
+        /// The liveness report.
+        heartbeat: Heartbeat,
+        /// The replica journal's next sequence — the cursor to send on
+        /// the following probe (events may have been ring-evicted, so it
+        /// can exceed the last forwarded seq + 1).
+        next_seq: u64,
+        /// Retained events with sequence ≥ the requested cursor; empty
+        /// when the probe carried none.
+        events: Vec<Event>,
+    },
     /// Member counts.
     MemberCounts(MemberCounts),
     /// Index snapshot.
@@ -274,23 +233,6 @@ pub enum Response {
     Install(Result<Heartbeat, SnapshotError>),
     /// The replica could not decode the request frame.
     Fault(ProtocolError),
-    /// Version negotiation answer: the replica's highest spoken version.
-    Hello {
-        /// The replica's [`PROTOCOL_VERSION`].
-        max_version: u8,
-    },
-    /// Answer to [`Request::PingEvents`]: liveness plus the replica's
-    /// journal drain from the requested cursor.
-    PongEvents {
-        /// The liveness report a plain `Pong` would carry.
-        heartbeat: Heartbeat,
-        /// The replica journal's next sequence — the cursor to send on
-        /// the following probe (events may have been ring-evicted, so it
-        /// can exceed the last forwarded seq + 1).
-        next_seq: u64,
-        /// Retained events with sequence ≥ the requested cursor.
-        events: Vec<Event>,
-    },
 }
 
 // ---- framing ---------------------------------------------------------
@@ -666,10 +608,9 @@ fn get_protocol_error(r: &mut Rd) -> Result<ProtocolError, ProtocolError> {
     })
 }
 
-/// Snapshot rejections travel the wire shape-preserving; the `Corrupt` and
-/// `Labels` payloads are peer-local (`&'static str` / codec internals), so
-/// like [`ProtocolError::Corrupt`] they decode to a "reported by peer"
-/// stand-in of the same variant family.
+/// Snapshot rejections travel the wire shape-preserving; the `Corrupt`
+/// payload is peer-local (`&'static str`), so like
+/// [`ProtocolError::Corrupt`] it decodes to a "reported by peer" stand-in.
 fn put_snapshot_error(e: &SnapshotError, out: &mut Vec<u8>) {
     match *e {
         SnapshotError::BadMagic => out.put_u8(0),
@@ -679,8 +620,6 @@ fn put_snapshot_error(e: &SnapshotError, out: &mut Vec<u8>) {
         }
         SnapshotError::Truncated => out.put_u8(2),
         SnapshotError::Corrupt(_) => out.put_u8(3),
-        SnapshotError::Labels(_) => out.put_u8(4),
-        SnapshotError::TooLarge => out.put_u8(5),
     }
 }
 
@@ -690,35 +629,11 @@ fn get_snapshot_error(r: &mut Rd) -> Result<SnapshotError, ProtocolError> {
         1 => SnapshotError::UnsupportedVersion { found: r.u8()? },
         2 => SnapshotError::Truncated,
         3 => SnapshotError::Corrupt("reported by peer"),
-        4 => SnapshotError::Corrupt("label blob rejected by peer"),
-        5 => SnapshotError::TooLarge,
         _ => return Err(ProtocolError::Corrupt("unknown snapshot-error tag")),
     })
 }
 
-/// Prepares a snapshot blob for a peer that negotiated `peer_version`:
-/// a v2 (flat-arena) blob headed at a pre-v5 peer is transcoded down to
-/// the v1 format client-side, so the old binary installs it natively —
-/// the push mirror of the pull-side [`Request::Snapshot`] fallback.
-/// Anything else passes through untouched. A v2 world too large for v1
-/// surfaces the encoder's typed [`SnapshotError::TooLarge`].
-pub(crate) fn adapt_blob_for_peer(
-    blob: &SnapshotBlob,
-    peer_version: u8,
-) -> Result<SnapshotBlob, SnapshotError> {
-    if peer_version < SNAPSHOT_V2_VERSION
-        && kosr_index::arena::blob_version(&blob.bytes)
-            == Some(kosr_index::arena::FLAT_SNAPSHOT_VERSION)
-    {
-        return Ok(SnapshotBlob {
-            epoch: blob.epoch,
-            bytes: kosr_index::arena::downgrade(&blob.bytes)?,
-        });
-    }
-    Ok(blob.clone())
-}
-
-// ---- trace codecs (v3) -----------------------------------------------
+// ---- trace codecs ----------------------------------------------------
 
 fn put_trace_ctx(ctx: &TraceContext, out: &mut Vec<u8>) {
     out.put_u64_le(ctx.trace_id.hi());
@@ -834,7 +749,7 @@ fn get_spans(r: &mut Rd) -> Result<Vec<Span>, ProtocolError> {
     (0..n).map(|_| get_span(r)).collect()
 }
 
-// ---- event codecs (v4) -----------------------------------------------
+// ---- event codecs ----------------------------------------------------
 
 fn put_severity(s: Severity, out: &mut Vec<u8>) {
     out.put_u8(match s {
@@ -1012,37 +927,20 @@ const KIND_RESP_COMPACTED: u8 = 24;
 const KIND_RESP_CURSOR_TOO_OLD: u8 = 25;
 const KIND_RESP_INSTALL_OK: u8 = 26;
 const KIND_RESP_INSTALL_ERR: u8 = 27;
-// v3 kinds. The requests continue the request range, the responses the
-// response range; `Hello` frames are stamped v2 (any peer can decode the
-// header and fault typed), the traced pair is stamped v3.
-const KIND_REQ_QUERY_TRACED: u8 = 7;
-const KIND_REQ_HELLO: u8 = 8;
-const KIND_RESP_QUERY_OK_TRACED: u8 = 28;
-const KIND_RESP_HELLO: u8 = 29;
-// v4 kinds: the event-forwarding heartbeat pair, stamped v4.
-const KIND_REQ_PING_EVENTS: u8 = 9;
-const KIND_RESP_PONG_EVENTS: u8 = 30;
-// v5 kind: the flat-arena snapshot pull, stamped v5. The response reuses
-// KIND_RESP_SNAPSHOT — a blob is a blob; its own header names the format.
-const KIND_REQ_SNAPSHOT_V2: u8 = 10;
 
-fn header(version: u8, kind: u8, frame_id: u64) -> Vec<u8> {
-    let mut out = vec![version, kind];
+/// Bytes of the fixed `version | kind | frame_id` header.
+const HEADER_LEN: usize = 10;
+
+fn header(kind: u8, frame_id: u64) -> Vec<u8> {
+    let mut out = vec![PROTOCOL_VERSION, kind];
     out.put_u64_le(frame_id);
     out
 }
 
 fn open(payload: &[u8]) -> Result<(u8, u64, Rd<'_>), ProtocolError> {
-    open_at(payload, PROTOCOL_VERSION)
-}
-
-/// Opens a payload as a peer capped at `max_version` would: frames
-/// stamped above the cap are a typed [`ProtocolError::VersionMismatch`]
-/// even when this build could decode them.
-fn open_at(payload: &[u8], max_version: u8) -> Result<(u8, u64, Rd<'_>), ProtocolError> {
     let mut r = Rd(payload);
     let version = r.u8()?;
-    if !(MIN_PROTOCOL_VERSION..=max_version).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(ProtocolError::VersionMismatch { found: version });
     }
     let kind = r.u8()?;
@@ -1050,110 +948,104 @@ fn open_at(payload: &[u8], max_version: u8) -> Result<(u8, u64, Rd<'_>), Protoco
     Ok((kind, frame_id, r))
 }
 
-/// Best-effort frame-id extraction from a payload that may not decode
-/// fully — what a server uses to address the typed [`Response::Fault`]
-/// for an undecodable request. `None` when even the header is unreadable
-/// (wrong version or truncated before the id).
+/// Best-effort frame-id extraction from a payload that may not decode —
+/// what a server uses to address the typed [`Response::Fault`] for an
+/// undecodable request. The header layout is fixed, so the id is read
+/// whatever the version and kind bytes say: a multiplexed caller can only
+/// match a refusal that carries its own id. `None` when the payload is
+/// shorter than the header.
 pub fn peek_frame_id(payload: &[u8]) -> Option<u64> {
-    match open(payload) {
-        Ok((_, id, _)) => Some(id),
-        Err(_) => None,
+    let id = payload.get(2..HEADER_LEN)?;
+    Some(u64::from_le_bytes(id.try_into().expect("8-byte slice")))
+}
+
+fn put_blob(blob: &SnapshotBlob, out: &mut Vec<u8>) {
+    out.put_u64_le(blob.epoch);
+    out.put_u64_le(blob.bytes.len() as u64);
+    out.extend_from_slice(&blob.bytes);
+}
+
+fn get_blob(r: &mut Rd) -> Result<SnapshotBlob, ProtocolError> {
+    let epoch = r.u64()?;
+    let len = usize::try_from(r.u64()?).map_err(|_| ProtocolError::Corrupt("snapshot length"))?;
+    let bytes = r.bytes(len)?.to_vec();
+    Ok(SnapshotBlob { epoch, bytes })
+}
+
+fn put_query_frame(frame_id: u64, q: &Query, ctx: Option<&TraceContext>) -> Vec<u8> {
+    let mut out = header(KIND_REQ_QUERY, frame_id);
+    put_query(q, &mut out);
+    match ctx {
+        Some(ctx) => {
+            out.put_u8(1);
+            put_trace_ctx(ctx, &mut out);
+        }
+        None => out.put_u8(0),
     }
+    out
 }
 
 /// Serializes a request into a frame payload stamped with `frame_id`.
 pub fn encode_request(frame_id: u64, req: &Request) -> Vec<u8> {
     match req {
-        Request::Query(q) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_REQ_QUERY, frame_id);
-            put_query(q, &mut out);
-            out
-        }
+        Request::Query(q) => put_query_frame(frame_id, q, None),
+        Request::QueryTraced(q, ctx) => put_query_frame(frame_id, q, Some(ctx)),
         Request::Update(u) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_REQ_UPDATE, frame_id);
+            let mut out = header(KIND_REQ_UPDATE, frame_id);
             put_update(u, &mut out);
             out
         }
-        Request::Ping => header(MIN_PROTOCOL_VERSION, KIND_REQ_PING, frame_id),
-        Request::MemberCounts => header(MIN_PROTOCOL_VERSION, KIND_REQ_MEMBER_COUNTS, frame_id),
-        Request::Snapshot => header(MIN_PROTOCOL_VERSION, KIND_REQ_SNAPSHOT, frame_id),
+        Request::Ping { since_seq } => {
+            let mut out = header(KIND_REQ_PING, frame_id);
+            match since_seq {
+                Some(seq) => {
+                    out.put_u8(1);
+                    out.put_u64_le(*seq);
+                }
+                None => out.put_u8(0),
+            }
+            out
+        }
+        Request::MemberCounts => header(KIND_REQ_MEMBER_COUNTS, frame_id),
+        Request::Snapshot => header(KIND_REQ_SNAPSHOT, frame_id),
         Request::Compact { through } => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_REQ_COMPACT, frame_id);
+            let mut out = header(KIND_REQ_COMPACT, frame_id);
             out.put_u64_le(*through);
             out
         }
         Request::InstallSnapshot(blob) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_REQ_INSTALL, frame_id);
-            out.put_u64_le(blob.epoch);
-            out.put_u64_le(blob.bytes.len() as u64);
-            out.extend_from_slice(&blob.bytes);
+            let mut out = header(KIND_REQ_INSTALL, frame_id);
+            put_blob(blob, &mut out);
             out
         }
-        Request::QueryTraced(q, ctx) => {
-            let mut out = header(TRACED_VERSION, KIND_REQ_QUERY_TRACED, frame_id);
-            put_query(q, &mut out);
-            put_trace_ctx(ctx, &mut out);
-            out
-        }
-        Request::Hello { max_version } => {
-            // Stamped v2 so a v2 peer decodes the header and answers a
-            // typed Fault(UnknownKind) instead of dropping the link.
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_REQ_HELLO, frame_id);
-            out.put_u8(*max_version);
-            out
-        }
-        Request::PingEvents { since_seq } => {
-            let mut out = header(EVENTS_VERSION, KIND_REQ_PING_EVENTS, frame_id);
-            out.put_u64_le(*since_seq);
-            out
-        }
-        Request::SnapshotV2 => header(SNAPSHOT_V2_VERSION, KIND_REQ_SNAPSHOT_V2, frame_id),
     }
 }
 
 /// Decodes a frame payload into `(frame_id, request)`. Total: never
 /// panics.
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
-    decode_request_limited(payload, PROTOCOL_VERSION)
-}
-
-/// [`decode_request`] as a peer capped at `max_version` would perform it:
-/// frames stamped above the cap are [`ProtocolError::VersionMismatch`],
-/// and kinds introduced after the cap are [`ProtocolError::UnknownKind`]
-/// even though this build knows them — exactly a v2 binary's answers.
-/// The testkit's mixed-fleet simulation is built on this.
-pub fn decode_request_limited(
-    payload: &[u8],
-    max_version: u8,
-) -> Result<(u64, Request), ProtocolError> {
-    let (kind, frame_id, mut r) = open_at(payload, max_version)?;
+    let (kind, frame_id, mut r) = open(payload)?;
     let req = match kind {
-        KIND_REQ_QUERY => Request::Query(get_query(&mut r)?),
+        KIND_REQ_QUERY => {
+            let q = get_query(&mut r)?;
+            match r.u8()? {
+                0 => Request::Query(q),
+                1 => Request::QueryTraced(q, get_trace_ctx(&mut r)?),
+                _ => return Err(ProtocolError::Corrupt("bad trace flag")),
+            }
+        }
         KIND_REQ_UPDATE => Request::Update(get_update(&mut r)?),
-        KIND_REQ_PING => Request::Ping,
+        KIND_REQ_PING => Request::Ping {
+            since_seq: match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                _ => return Err(ProtocolError::Corrupt("bad cursor flag")),
+            },
+        },
         KIND_REQ_MEMBER_COUNTS => Request::MemberCounts,
         KIND_REQ_SNAPSHOT => Request::Snapshot,
         KIND_REQ_COMPACT => Request::Compact { through: r.u64()? },
-        KIND_REQ_INSTALL => {
-            let epoch = r.u64()?;
-            let len = r.u64()?;
-            let len =
-                usize::try_from(len).map_err(|_| ProtocolError::Corrupt("snapshot length"))?;
-            let bytes = r.bytes(len)?.to_vec();
-            Request::InstallSnapshot(SnapshotBlob { epoch, bytes })
-        }
-        KIND_REQ_QUERY_TRACED if max_version >= TRACED_VERSION => {
-            let q = get_query(&mut r)?;
-            let ctx = get_trace_ctx(&mut r)?;
-            Request::QueryTraced(q, ctx)
-        }
-        KIND_REQ_HELLO if max_version >= TRACED_VERSION => Request::Hello {
-            max_version: r.u8()?,
-        },
-        KIND_REQ_PING_EVENTS if max_version >= EVENTS_VERSION => Request::PingEvents {
-            since_seq: r.u64()?,
-        },
-        KIND_REQ_SNAPSHOT_V2 if max_version >= SNAPSHOT_V2_VERSION => Request::SnapshotV2,
+        KIND_REQ_INSTALL => Request::InstallSnapshot(get_blob(&mut r)?),
         other => return Err(ProtocolError::UnknownKind(other)),
     };
     r.finish()?;
@@ -1164,44 +1056,43 @@ pub fn decode_request_limited(
 /// (the id of the request it answers).
 pub fn encode_response(frame_id: u64, resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Query(Ok(rr)) if rr.spans.is_empty() => {
-            // No spans → the v2 encoding, bit for bit.
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_QUERY_OK, frame_id);
-            out.put_u8(rr.cached as u8);
-            put_outcome(&rr.outcome, &mut out);
-            out
-        }
         Response::Query(Ok(rr)) => {
-            let mut out = header(TRACED_VERSION, KIND_RESP_QUERY_OK_TRACED, frame_id);
+            let mut out = header(KIND_RESP_QUERY_OK, frame_id);
             out.put_u8(rr.cached as u8);
             put_outcome(&rr.outcome, &mut out);
             put_spans(&rr.spans, &mut out);
             out
         }
         Response::Query(Err(e)) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_QUERY_ERR, frame_id);
+            let mut out = header(KIND_RESP_QUERY_ERR, frame_id);
             put_service_error(e, &mut out);
             out
         }
         Response::Update(Ok(receipt)) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_UPDATE_OK, frame_id);
+            let mut out = header(KIND_RESP_UPDATE_OK, frame_id);
             out.put_u8(receipt.applied as u8);
             out.put_u64_le(receipt.label_entries_added as u64);
             out.put_u64_le(receipt.invalidated as u64);
             out
         }
         Response::Update(Err(e)) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_UPDATE_ERR, frame_id);
+            let mut out = header(KIND_RESP_UPDATE_ERR, frame_id);
             put_update_error(e, &mut out);
             out
         }
-        Response::Pong(hb) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_PONG, frame_id);
-            out.put_u64_le(hb.epoch);
+        Response::Pong {
+            heartbeat,
+            next_seq,
+            events,
+        } => {
+            let mut out = header(KIND_RESP_PONG, frame_id);
+            out.put_u64_le(heartbeat.epoch);
+            out.put_u64_le(*next_seq);
+            put_events(events, &mut out);
             out
         }
         Response::MemberCounts(mc) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_MEMBER_COUNTS, frame_id);
+            let mut out = header(KIND_RESP_MEMBER_COUNTS, frame_id);
             out.put_u64_le(mc.epoch);
             out.put_u32_le(mc.num_vertices);
             out.put_u32_le(mc.counts.len() as u32);
@@ -1211,52 +1102,34 @@ pub fn encode_response(frame_id: u64, resp: &Response) -> Vec<u8> {
             out
         }
         Response::Snapshot(blob) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_SNAPSHOT, frame_id);
-            out.put_u64_le(blob.epoch);
-            out.put_u64_le(blob.bytes.len() as u64);
-            out.extend_from_slice(&blob.bytes);
+            let mut out = header(KIND_RESP_SNAPSHOT, frame_id);
+            put_blob(blob, &mut out);
             out
         }
         Response::Compacted { head } => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_COMPACTED, frame_id);
+            let mut out = header(KIND_RESP_COMPACTED, frame_id);
             out.put_u64_le(*head);
             out
         }
         Response::CursorTooOld { cursor, head } => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_CURSOR_TOO_OLD, frame_id);
+            let mut out = header(KIND_RESP_CURSOR_TOO_OLD, frame_id);
             out.put_u64_le(*cursor);
             out.put_u64_le(*head);
             out
         }
         Response::Install(Ok(hb)) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_INSTALL_OK, frame_id);
+            let mut out = header(KIND_RESP_INSTALL_OK, frame_id);
             out.put_u64_le(hb.epoch);
             out
         }
         Response::Install(Err(e)) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_INSTALL_ERR, frame_id);
+            let mut out = header(KIND_RESP_INSTALL_ERR, frame_id);
             put_snapshot_error(e, &mut out);
             out
         }
         Response::Fault(e) => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_FAULT, frame_id);
+            let mut out = header(KIND_RESP_FAULT, frame_id);
             put_protocol_error(e, &mut out);
-            out
-        }
-        Response::Hello { max_version } => {
-            let mut out = header(MIN_PROTOCOL_VERSION, KIND_RESP_HELLO, frame_id);
-            out.put_u8(*max_version);
-            out
-        }
-        Response::PongEvents {
-            heartbeat,
-            next_seq,
-            events,
-        } => {
-            let mut out = header(EVENTS_VERSION, KIND_RESP_PONG_EVENTS, frame_id);
-            out.put_u64_le(heartbeat.epoch);
-            out.put_u64_le(*next_seq);
-            put_events(events, &mut out);
             out
         }
     }
@@ -1265,27 +1138,9 @@ pub fn encode_response(frame_id: u64, resp: &Response) -> Vec<u8> {
 /// Decodes a frame payload into `(frame_id, response)`. Total: never
 /// panics.
 pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError> {
-    decode_response_limited(payload, PROTOCOL_VERSION)
-}
-
-/// [`decode_response`] as a peer capped at `max_version` would perform
-/// it — the client-side mirror of [`decode_request_limited`].
-pub fn decode_response_limited(
-    payload: &[u8],
-    max_version: u8,
-) -> Result<(u64, Response), ProtocolError> {
-    let (kind, frame_id, mut r) = open_at(payload, max_version)?;
+    let (kind, frame_id, mut r) = open(payload)?;
     let resp = match kind {
         KIND_RESP_QUERY_OK => {
-            let cached = r.u8()? != 0;
-            let outcome = get_outcome(&mut r)?;
-            Response::Query(Ok(RemoteResponse {
-                outcome,
-                cached,
-                spans: Vec::new(),
-            }))
-        }
-        KIND_RESP_QUERY_OK_TRACED if max_version >= TRACED_VERSION => {
             let cached = r.u8()? != 0;
             let outcome = get_outcome(&mut r)?;
             let spans = get_spans(&mut r)?;
@@ -1295,14 +1150,6 @@ pub fn decode_response_limited(
                 spans,
             }))
         }
-        KIND_RESP_HELLO if max_version >= TRACED_VERSION => Response::Hello {
-            max_version: r.u8()?,
-        },
-        KIND_RESP_PONG_EVENTS if max_version >= EVENTS_VERSION => Response::PongEvents {
-            heartbeat: Heartbeat { epoch: r.u64()? },
-            next_seq: r.u64()?,
-            events: get_events(&mut r)?,
-        },
         KIND_RESP_QUERY_ERR => Response::Query(Err(get_service_error(&mut r)?)),
         KIND_RESP_UPDATE_OK => Response::Update(Ok(UpdateReceipt {
             applied: r.u8()? != 0,
@@ -1310,7 +1157,11 @@ pub fn decode_response_limited(
             invalidated: r.u64()? as usize,
         })),
         KIND_RESP_UPDATE_ERR => Response::Update(Err(get_update_error(&mut r)?)),
-        KIND_RESP_PONG => Response::Pong(Heartbeat { epoch: r.u64()? }),
+        KIND_RESP_PONG => Response::Pong {
+            heartbeat: Heartbeat { epoch: r.u64()? },
+            next_seq: r.u64()?,
+            events: get_events(&mut r)?,
+        },
         KIND_RESP_MEMBER_COUNTS => {
             let epoch = r.u64()?;
             let num_vertices = r.u32()?;
@@ -1322,14 +1173,7 @@ pub fn decode_response_limited(
                 counts,
             })
         }
-        KIND_RESP_SNAPSHOT => {
-            let epoch = r.u64()?;
-            let len = r.u64()?;
-            let len =
-                usize::try_from(len).map_err(|_| ProtocolError::Corrupt("snapshot length"))?;
-            let bytes = r.bytes(len)?.to_vec();
-            Response::Snapshot(SnapshotBlob { epoch, bytes })
-        }
+        KIND_RESP_SNAPSHOT => Response::Snapshot(get_blob(&mut r)?),
         KIND_RESP_COMPACTED => Response::Compacted { head: r.u64()? },
         KIND_RESP_CURSOR_TOO_OLD => Response::CursorTooOld {
             cursor: r.u64()?,
@@ -1350,6 +1194,16 @@ mod tests {
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
+    }
+
+    const PING: Request = Request::Ping { since_seq: None };
+
+    fn pong(epoch: u64, next_seq: u64, events: Vec<Event>) -> Response {
+        Response::Pong {
+            heartbeat: Heartbeat { epoch },
+            next_seq,
+            events,
+        }
     }
 
     fn sample_outcome() -> KosrOutcome {
@@ -1400,7 +1254,10 @@ mod tests {
                 to: v(2),
                 weight: 77,
             }),
-            Request::Ping,
+            Request::Ping { since_seq: None },
+            Request::Ping {
+                since_seq: Some(17),
+            },
             Request::MemberCounts,
             Request::Snapshot,
             Request::Compact { through: 42 },
@@ -1419,26 +1276,33 @@ mod tests {
     #[test]
     fn frame_ids_roundtrip_and_peek() {
         for id in [0u64, 1, 77, u64::MAX] {
-            let payload = encode_request(id, &Request::Ping);
+            let payload = encode_request(id, &PING);
             assert_eq!(decode_request(&payload).unwrap().0, id);
             assert_eq!(peek_frame_id(&payload), Some(id));
-            let payload = encode_response(id, &Response::Pong(Heartbeat { epoch: 3 }));
+            let payload = encode_response(id, &pong(3, 0, Vec::new()));
             assert_eq!(decode_response(&payload).unwrap().0, id);
         }
         // An unknown kind still yields its frame id to peek (the server
         // can address its Fault response), while decode rejects it typed.
-        let mut payload = encode_request(7, &Request::Ping);
+        let mut payload = encode_request(7, &PING);
         payload[1] = 99;
         assert_eq!(peek_frame_id(&payload), Some(7));
         assert_eq!(
             decode_request(&payload),
             Err(ProtocolError::UnknownKind(99))
         );
-        // Wrong version or a header truncated before the id peeks None.
-        let mut bad = encode_request(7, &Request::Ping);
+        // So does an unknown version: the header layout is fixed, and a
+        // refusal addressed to id 0 could never be matched by its caller.
+        let mut bad = encode_request(7, &PING);
         bad[0] = 9;
-        assert_eq!(peek_frame_id(&bad), None);
+        assert_eq!(peek_frame_id(&bad), Some(7));
+        assert_eq!(
+            decode_request(&bad),
+            Err(ProtocolError::VersionMismatch { found: 9 })
+        );
+        // A header truncated before the end of the id peeks None.
         assert_eq!(peek_frame_id(&[PROTOCOL_VERSION, 0, 1]), None);
+        assert_eq!(peek_frame_id(&payload[..HEADER_LEN - 1]), None);
     }
 
     #[test]
@@ -1449,8 +1313,7 @@ mod tests {
             spans: Vec::new(),
         }));
         let payload = encode_response(5, &resp);
-        // Spanless responses stay on the v2 encoding.
-        assert_eq!(payload[0], MIN_PROTOCOL_VERSION);
+        assert_eq!(payload[0], PROTOCOL_VERSION);
         match decode_response(&payload).unwrap().1 {
             Response::Query(Ok(rr)) => {
                 assert!(rr.cached);
@@ -1503,7 +1366,6 @@ mod tests {
             sample_ctx(),
         );
         let payload = encode_request(11, &req);
-        assert_eq!(payload[0], TRACED_VERSION, "traced frames are stamped 3");
         assert_eq!(decode_request(&payload).unwrap(), (11, req));
 
         let resp = Response::Query(Ok(RemoteResponse {
@@ -1512,7 +1374,6 @@ mod tests {
             spans: sample_spans(),
         }));
         let payload = encode_response(11, &resp);
-        assert_eq!(payload[0], TRACED_VERSION);
         match decode_response(&payload).unwrap().1 {
             Response::Query(Ok(rr)) => {
                 assert!(!rr.cached);
@@ -1553,32 +1414,12 @@ mod tests {
     }
 
     #[test]
-    fn ping_events_roundtrips_and_older_peers_reject_typed() {
-        let req = Request::PingEvents { since_seq: 17 };
-        let payload = encode_request(21, &req);
-        assert_eq!(payload[0], EVENTS_VERSION, "the v4 pair is stamped 4");
-        assert_eq!(decode_request(&payload).unwrap(), (21, req));
-        // Genuine v3 and v2 binaries reject on the version byte, typed —
-        // the connection survives and the client falls back to Ping.
-        for cap in [2, 3] {
-            assert_eq!(
-                decode_request_limited(&payload, cap),
-                Err(ProtocolError::VersionMismatch { found: 4 }),
-                "cap={cap}"
-            );
-        }
-
-        let resp = Response::PongEvents {
-            heartbeat: Heartbeat { epoch: 9 },
-            next_seq: 5,
-            events: sample_events(),
-        };
-        let payload = encode_response(21, &resp);
-        assert_eq!(payload[0], EVENTS_VERSION);
+    fn heartbeat_event_drain_roundtrips_and_truncation_is_typed() {
+        let payload = encode_response(21, &pong(9, 5, sample_events()));
         match decode_response(&payload).unwrap() {
             (
                 21,
-                Response::PongEvents {
+                Response::Pong {
                     heartbeat,
                     next_seq,
                     events,
@@ -1590,11 +1431,6 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
-        assert!(matches!(
-            decode_response_limited(&payload, 3),
-            Err(ProtocolError::VersionMismatch { found: 4 })
-        ));
-
         // Totality: every truncation of the event batch is typed.
         for cut in 2..payload.len() {
             assert!(
@@ -1606,57 +1442,11 @@ mod tests {
             );
         }
         // An empty drain also roundtrips.
-        let payload = encode_response(
-            22,
-            &Response::PongEvents {
-                heartbeat: Heartbeat { epoch: 0 },
-                next_seq: 0,
-                events: Vec::new(),
-            },
-        );
+        let payload = encode_response(22, &pong(0, 0, Vec::new()));
         assert!(matches!(
             decode_response(&payload),
-            Ok((22, Response::PongEvents { next_seq: 0, events, .. })) if events.is_empty()
+            Ok((22, Response::Pong { next_seq: 0, events, .. })) if events.is_empty()
         ));
-    }
-
-    #[test]
-    fn hello_negotiation_roundtrips_and_reaches_v2_peers() {
-        let payload = encode_request(9, &Request::Hello { max_version: 3 });
-        // The probe itself must be decodable by a v2 peer's header check…
-        assert_eq!(payload[0], MIN_PROTOCOL_VERSION);
-        assert_eq!(
-            decode_request(&payload).unwrap(),
-            (9, Request::Hello { max_version: 3 })
-        );
-        // …and a v2 peer answers it typed: UnknownKind, id preserved.
-        assert_eq!(
-            decode_request_limited(&payload, 2),
-            Err(ProtocolError::UnknownKind(KIND_REQ_HELLO))
-        );
-        assert_eq!(peek_frame_id(&payload), Some(9));
-
-        let payload = encode_response(9, &Response::Hello { max_version: 3 });
-        assert!(matches!(
-            decode_response(&payload),
-            Ok((9, Response::Hello { max_version: 3 }))
-        ));
-    }
-
-    #[test]
-    fn v2_peer_rejects_traced_frames_typed() {
-        let req = Request::QueryTraced(Query::new(v(0), v(1), vec![], 1), sample_ctx());
-        let payload = encode_request(4, &req);
-        // A genuine v2 binary rejects on the version byte — it has never
-        // seen a 3 — and the connection survives as a typed Fault.
-        assert_eq!(
-            decode_request_limited(&payload, 2),
-            Err(ProtocolError::VersionMismatch { found: 3 })
-        );
-        // Legacy kinds still travel stamped 2 and decode under the cap.
-        let legacy = encode_request(5, &Request::Query(Query::new(v(0), v(1), vec![], 1)));
-        assert_eq!(legacy[0], MIN_PROTOCOL_VERSION);
-        assert!(decode_request_limited(&legacy, 2).is_ok());
     }
 
     #[test]
@@ -1727,8 +1517,11 @@ mod tests {
 
     #[test]
     fn control_responses_roundtrip() {
-        let payload = encode_response(1, &Response::Pong(Heartbeat { epoch: 42 }));
-        assert!(matches!(decode_response(&payload), Ok((1, Response::Pong(hb))) if hb.epoch == 42));
+        let payload = encode_response(1, &pong(42, 0, Vec::new()));
+        assert!(matches!(
+            decode_response(&payload),
+            Ok((1, Response::Pong { heartbeat, .. })) if heartbeat.epoch == 42
+        ));
         let mc = MemberCounts {
             epoch: 7,
             num_vertices: 100,
@@ -1777,7 +1570,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        let mut payload = encode_request(1, &Request::Ping);
+        let mut payload = encode_request(1, &PING);
         payload[0] = 9;
         assert_eq!(
             decode_request(&payload),
@@ -1791,7 +1584,7 @@ mod tests {
 
     #[test]
     fn unknown_kind_truncation_and_trailing_are_typed() {
-        let mut payload = encode_request(1, &Request::Ping);
+        let mut payload = encode_request(1, &PING);
         payload[1] = 99;
         assert_eq!(
             decode_request(&payload),
@@ -1807,7 +1600,7 @@ mod tests {
             decode_request(&[PROTOCOL_VERSION, 99, 0, 0]),
             Err(ProtocolError::Truncated)
         );
-        let mut payload = encode_request(1, &Request::Ping);
+        let mut payload = encode_request(1, &PING);
         payload.push(0);
         assert_eq!(
             decode_request(&payload),
@@ -1825,7 +1618,7 @@ mod tests {
 
     #[test]
     fn framing_roundtrips_and_rejects_oversize() {
-        let payload = encode_request(1, &Request::Ping);
+        let payload = encode_request(1, &PING);
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         write_frame(&mut wire, &payload).unwrap();

@@ -272,8 +272,8 @@ impl ReplicaSet {
                                     for ev in &events {
                                         hook.journal.append_forwarded(ev, hook.shard, i as u32);
                                     }
-                                    // A degraded (pre-v4) probe reports 0;
-                                    // never regress a real cursor.
+                                    // Never regress a cursor: concurrent
+                                    // heartbeats may land out of order.
                                     if next > hook.cursors[i] {
                                         hook.cursors[i] = next;
                                     }

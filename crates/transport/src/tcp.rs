@@ -22,21 +22,18 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use std::sync::atomic::AtomicU8;
-
 use kosr_core::Query;
 use kosr_service::{KosrService, TraceContext, Update, UpdateReceipt};
 
 use crate::host::handle_request;
 use crate::inproc::{
-    expect_compacted, expect_install, expect_member_counts, expect_pong, expect_pong_events,
-    expect_query, expect_snapshot, expect_update,
+    expect_compacted, expect_install, expect_member_counts, expect_pong, expect_query,
+    expect_snapshot, expect_update,
 };
 use crate::mux::DemuxTable;
 use crate::protocol::{
-    adapt_blob_for_peer, decode_request, decode_response, encode_request, encode_response,
-    peek_frame_id, read_frame, write_frame, Heartbeat, MemberCounts, Request, Response,
-    SnapshotBlob, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SNAPSHOT_V2_VERSION,
+    decode_request, decode_response, encode_request, encode_response, peek_frame_id, read_frame,
+    write_frame, Heartbeat, MemberCounts, Request, Response, SnapshotBlob,
 };
 use crate::{ShardTransport, TransportError, TransportTicket};
 
@@ -328,10 +325,6 @@ pub struct TcpTransport {
     addr: SocketAddr,
     deadline: Duration,
     conn: Mutex<Option<Arc<MuxConn>>>,
-    /// Peer version learned by [`Request::Hello`]; 0 until negotiated.
-    /// Cached per transport — replicas in one fleet run one build, and a
-    /// wrong cache is only a lost trace, never a wrong answer.
-    negotiated: AtomicU8,
 }
 
 fn conn_err(e: std::io::Error) -> TransportError {
@@ -353,30 +346,7 @@ impl TcpTransport {
             addr,
             deadline,
             conn: Mutex::new(None),
-            negotiated: AtomicU8::new(0),
         }
-    }
-
-    /// Learns (and caches) the peer's protocol version through a Hello
-    /// roundtrip. A v3 server answers [`Response::Hello`]; a v2 server
-    /// answers a typed `Fault(UnknownKind)` — both definitive. Channel
-    /// trouble returns the v2 floor without caching.
-    fn peer_protocol_version(&self) -> u8 {
-        let cached = self.negotiated.load(Ordering::Acquire);
-        if cached != 0 {
-            return cached;
-        }
-        let learned = match self.roundtrip(&Request::Hello {
-            max_version: PROTOCOL_VERSION,
-        }) {
-            Ok(Response::Hello { max_version }) => {
-                max_version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
-            }
-            Ok(_) => MIN_PROTOCOL_VERSION,
-            Err(_) => return MIN_PROTOCOL_VERSION,
-        };
-        self.negotiated.store(learned, Ordering::Release);
-        learned
     }
 
     /// The live connection, dialing (or re-dialing after a death) on
@@ -399,24 +369,14 @@ impl TcpTransport {
 }
 
 impl ShardTransport for TcpTransport {
-    fn submit(&self, query: Query) -> TransportTicket {
+    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
+        // Only sampled contexts are worth their bytes on the wire.
+        let req = match ctx.filter(|c| c.sampled) {
+            Some(c) => Request::QueryTraced(query, c),
+            None => Request::Query(query),
+        };
         // No thread per request: the completion slot is the in-flight
         // state, and the ticket just waits on it.
-        let deadline = self.deadline;
-        match self.mux() {
-            Ok(conn) => {
-                let completion = conn.send(&Request::Query(query));
-                TransportTicket::new(move || completion.wait(deadline).and_then(expect_query))
-            }
-            Err(e) => TransportTicket::ready(Err(e)),
-        }
-    }
-
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        let req = match ctx.filter(|c| c.sampled) {
-            Some(c) if self.peer_protocol_version() >= 3 => Request::QueryTraced(query, c),
-            _ => Request::Query(query),
-        };
         let deadline = self.deadline;
         match self.mux() {
             Ok(conn) => {
@@ -432,7 +392,7 @@ impl ShardTransport for TcpTransport {
     }
 
     fn ping(&self) -> Result<Heartbeat, TransportError> {
-        expect_pong(self.roundtrip(&Request::Ping)?)
+        expect_pong(self.roundtrip(&Request::Ping { since_seq: None })?).map(|(hb, _, _)| hb)
     }
 
     fn member_counts(&self) -> Result<MemberCounts, TransportError> {
@@ -440,22 +400,11 @@ impl ShardTransport for TcpTransport {
     }
 
     fn snapshot(&self) -> Result<SnapshotBlob, TransportError> {
-        // Peers that negotiated v5 serve the flat-arena blob; older ones
-        // only know the legacy v1 pull.
-        let req = if self.peer_protocol_version() >= SNAPSHOT_V2_VERSION {
-            Request::SnapshotV2
-        } else {
-            Request::Snapshot
-        };
-        expect_snapshot(self.roundtrip(&req)?)
+        expect_snapshot(self.roundtrip(&Request::Snapshot)?)
     }
 
     fn install_snapshot(&self, blob: &SnapshotBlob) -> Result<Heartbeat, TransportError> {
-        // Pushing a v2 blob at a pre-v5 peer: transcode down client-side
-        // so the old binary installs it natively.
-        let blob = adapt_blob_for_peer(blob, self.peer_protocol_version())
-            .map_err(TransportError::Snapshot)?;
-        expect_install(self.roundtrip(&Request::InstallSnapshot(blob))?)
+        expect_install(self.roundtrip(&Request::InstallSnapshot(blob.clone()))?)
     }
 
     fn compact(&self, through: u64) -> Result<u64, TransportError> {
@@ -466,10 +415,9 @@ impl ShardTransport for TcpTransport {
         &self,
         since_seq: u64,
     ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-        if self.peer_protocol_version() < 4 {
-            return self.ping().map(|hb| (hb, 0, Vec::new()));
-        }
-        expect_pong_events(self.roundtrip(&Request::PingEvents { since_seq })?)
+        expect_pong(self.roundtrip(&Request::Ping {
+            since_seq: Some(since_seq),
+        })?)
     }
 }
 
@@ -571,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_queries_negotiate_and_return_spans_over_the_wire() {
+    fn traced_queries_return_spans_over_the_wire() {
         let (_server, client, fx) = serve();
         let ctx = kosr_service::TraceContext::root(kosr_service::TraceId(5), true);
         let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 3);
@@ -581,11 +529,6 @@ mod tests {
             resp.spans.iter().any(|s| s.name == "replica"),
             "replica spans crossed the socket: {:?}",
             resp.spans
-        );
-        assert_eq!(
-            client.negotiated.load(Ordering::Acquire),
-            PROTOCOL_VERSION,
-            "hello negotiation cached the peer version"
         );
     }
 

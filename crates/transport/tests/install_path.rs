@@ -38,8 +38,7 @@ fn exercise(transport: &dyn ShardTransport, fx: &kosr_core::figure1::Figure1) {
         vec![20, 21, 22]
     );
     let valid = transport.snapshot().unwrap();
-    // Both ends speak v5, so the pull negotiates the v2 arena format.
-    assert_eq!(valid.bytes[8], 2, "same-version pull must yield a v2 blob");
+    assert_eq!(valid.bytes[8], 2, "a pull yields the flat-arena blob");
     // The snapshot layout: 8 magic bytes, then the codec version byte.
     let mut bad_magic = valid.bytes.clone();
     bad_magic[0] ^= 0xFF;
@@ -93,41 +92,4 @@ fn corrupt_blobs_are_refused_typed_over_tcp() {
     let server = TcpServer::spawn(svc).unwrap();
     let client = TcpTransport::connect(server.addr());
     exercise(&client, &fx);
-}
-
-/// Version negotiation picks the snapshot format: a v5 peer hands out the
-/// v2 arena blob, while a peer that only speaks protocol ≤ 4 (an old
-/// binary) is pulled with the legacy request and answers in v1.
-#[test]
-fn pull_negotiates_v2_down_to_v1_for_old_peers() {
-    let (svc, _fx) = service();
-    let new_peer = InProcTransport::new(svc.clone());
-    assert_eq!(new_peer.snapshot().unwrap().bytes[8], 2);
-    let old_peer = InProcTransport::with_max_version(svc, 4);
-    assert_eq!(
-        old_peer.snapshot().unwrap().bytes[8],
-        1,
-        "a protocol-4 peer must be pulled via the legacy v1 request"
-    );
-}
-
-/// Pushing a v2 blob at an old peer transcodes it to v1 on the way out:
-/// the install succeeds, the epoch bumps, and the answers the peer serves
-/// afterwards are identical to what the v2 blob encodes.
-#[test]
-fn push_to_old_peer_transcodes_v2_to_v1() {
-    let (svc, fx) = service();
-    let v2 = InProcTransport::new(svc.clone()).snapshot().unwrap();
-    assert_eq!(v2.bytes[8], 2);
-
-    let old_peer = InProcTransport::with_max_version(svc, 4);
-    let epoch_before = old_peer.ping().unwrap().epoch;
-    let hb = old_peer.install_snapshot(&v2).unwrap();
-    assert_eq!(hb.epoch, epoch_before + 1);
-    let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 3);
-    assert_eq!(
-        old_peer.submit(q).wait().unwrap().outcome.costs(),
-        vec![20, 21, 22],
-        "transcoded install must preserve the answers"
-    );
 }

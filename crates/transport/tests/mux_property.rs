@@ -7,31 +7,38 @@
 //! The property half drives the demux core directly with seed-shuffled
 //! delivery schedules; the integration half runs a real `TcpTransport`
 //! against a scripted raw socket that answers out of order, withholds one
-//! response forever, and injects a stale frame for an abandoned id.
+//! response forever, and injects a stale frame for an abandoned id — and
+//! pins the refusal contract a version ladder would regrow from: unknown
+//! kinds and versions are typed faults addressed to the offending frame.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use kosr_core::{KosrOutcome, Query, QueryStats};
+use kosr_core::{IndexedGraph, KosrOutcome, Query, QueryStats};
 use kosr_graph::{CategoryId, VertexId};
+use kosr_service::{KosrService, ServiceConfig};
 use kosr_transport::mux::DemuxTable;
 use kosr_transport::protocol::{
-    decode_request, encode_response, read_frame, write_frame, Heartbeat, RemoteResponse, Request,
-    Response,
+    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
+    Heartbeat, ProtocolError, RemoteResponse, Request, Response, PROTOCOL_VERSION,
 };
-use kosr_transport::{ShardTransport, TcpTransport};
+use kosr_transport::{ShardTransport, TcpServer, TcpTransport, TransportError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn pong(epoch: u64) -> Response {
-    Response::Pong(Heartbeat { epoch })
+    Response::Pong {
+        heartbeat: Heartbeat { epoch },
+        next_seq: 0,
+        events: Vec::new(),
+    }
 }
 
 fn epoch_of(resp: Response) -> u64 {
     match resp {
-        Response::Pong(hb) => hb.epoch,
+        Response::Pong { heartbeat, .. } => heartbeat.epoch,
         other => panic!("not a pong: {other:?}"),
     }
 }
@@ -119,7 +126,7 @@ fn wedged_request_faults_alone_and_late_frames_are_discarded() {
         // the *wedged* id first (stale — must be discarded), then the ping.
         let third = read_frame(&mut stream).unwrap().unwrap();
         let (ping_id, req) = decode_request(&third).unwrap();
-        assert!(matches!(req, Request::Ping));
+        assert!(matches!(req, Request::Ping { .. }));
         write_frame(&mut stream, &encode_response(wedged_id, &answer)).unwrap();
         write_frame(&mut stream, &encode_response(ping_id, &pong(777))).unwrap();
         // Keep the connection open until the client is done.
@@ -152,4 +159,92 @@ fn wedged_request_faults_alone_and_late_frames_are_discarded() {
     assert_eq!(hb.epoch, 777);
     drop(client);
     server.join().unwrap();
+}
+
+/// The refusal contract, over real sockets. Server side: a frame of an
+/// unknown kind, then one stamped with an unknown version, each draw a
+/// typed `Fault` **addressed to that frame's id** (a multiplexed caller
+/// can match nothing else), and the connection keeps serving. Client
+/// side: a response in an unknown version fails the in-flight caller
+/// typed and at once — not at the request deadline.
+#[test]
+fn unknown_kinds_and_versions_are_typed_refusals_over_a_real_socket() {
+    const UNKNOWN_VERSION: u8 = PROTOCOL_VERSION + 1;
+    let ping = |id| encode_request(id, &Request::Ping { since_seq: None });
+
+    let fx = kosr_core::figure1::figure1();
+    let service = Arc::new(KosrService::new(
+        Arc::new(IndexedGraph::build_default(fx.graph.clone())),
+        ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    ));
+    let server = TcpServer::spawn(service).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut exchange = |frame: Vec<u8>| {
+        write_frame(&mut raw, &frame).unwrap();
+        decode_response(&read_frame(&mut raw).unwrap().expect("connection kept open")).unwrap()
+    };
+
+    let mut unknown_kind = ping(41);
+    unknown_kind[1] = 250;
+    let (id, resp) = exchange(unknown_kind);
+    assert!(
+        matches!(resp, Response::Fault(ProtocolError::UnknownKind(250))),
+        "{resp:?}"
+    );
+    assert_eq!(id, 41, "the fault must be addressed to the refused frame");
+
+    let mut unknown_version = ping(42);
+    unknown_version[0] = UNKNOWN_VERSION;
+    let (id, resp) = exchange(unknown_version);
+    assert!(
+        matches!(
+            resp,
+            Response::Fault(ProtocolError::VersionMismatch {
+                found: UNKNOWN_VERSION
+            })
+        ),
+        "{resp:?}"
+    );
+    assert_eq!(id, 42, "the fault must be addressed to the refused frame");
+
+    let (id, resp) = exchange(ping(43));
+    assert!(matches!(resp, Response::Pong { .. }), "{resp:?}");
+    assert_eq!(id, 43, "the connection survived both refusals");
+
+    // Client side: a scripted server answers the query in a version the
+    // client does not speak.
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let scripted = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let query = read_frame(&mut stream).unwrap().unwrap();
+        let (id, _) = decode_request(&query).unwrap();
+        let mut answer = encode_response(id, &pong(1));
+        answer[0] = UNKNOWN_VERSION;
+        write_frame(&mut stream, &answer).unwrap();
+        // Keep the connection open until the client is done.
+        let _ = read_frame(&mut stream);
+    });
+    let client = TcpTransport::connect(addr);
+    let started = Instant::now();
+    let err = client
+        .submit(Query::new(VertexId(0), VertexId(1), vec![CategoryId(0)], 1))
+        .wait()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        TransportError::Protocol(ProtocolError::VersionMismatch {
+            found: UNKNOWN_VERSION
+        })
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the refusal must not wait out the request deadline"
+    );
+    drop(client);
+    scripted.join().unwrap();
 }

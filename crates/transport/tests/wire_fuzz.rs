@@ -12,8 +12,10 @@ use kosr_graph::{CategoryId, VertexId};
 use kosr_service::Update;
 use kosr_transport::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, ProtocolError,
-    Request, Response, SnapshotBlob, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    Request, Response, SnapshotBlob, PROTOCOL_VERSION,
 };
+
+const PING: Request = Request::Ping { since_seq: None };
 use proptest::prelude::*;
 
 proptest! {
@@ -52,7 +54,7 @@ proptest! {
                 to: VertexId(target),
                 weight: k,
             })),
-            encode_request(frame_id, &Request::Ping),
+            encode_request(frame_id, &PING),
             encode_request(frame_id, &Request::Snapshot),
             encode_request(frame_id, &Request::Compact { through: k }),
             encode_request(frame_id, &Request::InstallSnapshot(SnapshotBlob {
@@ -77,7 +79,7 @@ proptest! {
         version in proptest::bits::u8::ANY,
         body in proptest::collection::vec(proptest::bits::u8::ANY, 0..40),
     ) {
-        if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version == PROTOCOL_VERSION {
             return; // covered by the round-trip suites
         }
         let mut frame = vec![version];
@@ -96,7 +98,8 @@ proptest! {
     #[test]
     fn frame_ids_roundtrip(frame_id in 0u64..u64::MAX, through in 0u64..u64::MAX) {
         for req in [
-            Request::Ping,
+            PING,
+            Request::Ping { since_seq: Some(through) },
             Request::MemberCounts,
             Request::Snapshot,
             Request::Compact { through },
@@ -123,7 +126,7 @@ fn empty_and_header_only_frames_are_typed_errors() {
         Err(ProtocolError::Truncated)
     );
     // …and with the id present, an unknown kind is typed.
-    let mut unknown = encode_request(9, &Request::Ping);
+    let mut unknown = encode_request(9, &PING);
     unknown[1] = 250;
     assert_eq!(
         decode_request(&unknown),
@@ -136,7 +139,7 @@ fn empty_and_header_only_frames_are_typed_errors() {
         decode_request(&resp),
         Err(ProtocolError::UnknownKind(_))
     ));
-    let req = encode_request(1, &Request::Ping);
+    let req = encode_request(1, &PING);
     assert!(matches!(
         decode_response(&req),
         Err(ProtocolError::UnknownKind(_))
