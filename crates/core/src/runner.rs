@@ -3,6 +3,7 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use kosr_graph::{CategoryId, Graph, VertexId, Weight};
 use kosr_hoplabel::{BuildStats, HopLabels, HubOrder, IncrementalUpdater, LabelSet};
@@ -64,15 +65,23 @@ impl Method {
 /// A graph bundled with its 2-hop labels and inverted label indexes —
 /// everything the in-memory methods need.
 ///
-/// `Clone` supports the serving layer's copy-on-write updates (and shard
-/// replica builds): the clone is deep, so a held snapshot never changes
-/// underfoot.
+/// The index is a struct of **independently shared sections**: the CSR
+/// slabs, the 2-hop labels, and — per category — the member list, the
+/// inverted label index and the bound-table virtual sets each sit behind
+/// their own `Arc`. `clone()` therefore copies pointers, and the dynamic
+/// updates below copy-on-write only what they touch: a membership flip
+/// re-allocates the touched category's sections (the paper's §IV-C
+/// `O(|Lin(v)|)` work on one `IL(Ci)`), never the graph, the labels or
+/// another category. That is what the serving layer's versioned updates
+/// and the shard replica builds rely on: a held clone never changes
+/// underfoot, and holding one costs only the sections later updates
+/// replace.
 #[derive(Clone)]
 pub struct IndexedGraph {
     /// The underlying graph.
     pub graph: Graph,
-    /// The 2-hop label index.
-    pub labels: HopLabels,
+    /// The 2-hop label index (shared; only edge updates replace it).
+    pub labels: Arc<HopLabels>,
     /// Per-category inverted label indexes.
     pub inverted: CategoryIndexSet,
     /// Offline inter-category lower-bound tables (exact min member-pair
@@ -93,7 +102,7 @@ impl IndexedGraph {
         let bounds = CategoryBounds::build(&labels, graph.categories());
         IndexedGraph {
             graph,
-            labels,
+            labels: Arc::new(labels),
             inverted,
             bounds,
             label_stats,
@@ -350,7 +359,7 @@ impl IndexedGraph {
         builder.add_edge(a, b, w);
         self.graph = builder.build();
         let mut updater = IncrementalUpdater::new(n);
-        let added = updater.insert_edge(&self.graph, &mut self.labels, a, b, w);
+        let added = updater.insert_edge(&self.graph, Arc::make_mut(&mut self.labels), a, b, w);
         if added > 0 {
             // Inverted lists mirror members' Lin labels; repair by rebuild
             // (grouping existing label entries — no graph searches). The
@@ -411,7 +420,7 @@ impl IndexedGraph {
         };
         Ok(IndexedGraph {
             graph,
-            labels,
+            labels: Arc::new(labels),
             inverted,
             bounds,
             label_stats,

@@ -6,31 +6,56 @@
 //! "handling dynamic updates" extension (§IV-C); downstream indexes such as
 //! the inverted label index subscribe to the same operations.
 
+use std::sync::Arc;
+
 use crate::{CategoryId, VertexId};
+
+/// Vertices per copy-on-write block of the per-vertex view: a membership
+/// flip re-allocates one block of `F(v)` lists, not all `|V|` of them.
+const VERTEX_BLOCK: usize = 256;
+
+type VertexBlock = Arc<[Vec<CategoryId>]>;
 
 /// Bidirectional vertex ↔ category membership table.
 ///
 /// The paper's `F(v)` is [`CategoryTable::categories_of`], and `V_{Ci}` is
 /// [`CategoryTable::vertices_of`]. Membership is a set: inserting a duplicate
 /// pair is a no-op.
+///
+/// Storage is **copy-on-write by section**: every category's member list,
+/// every [`VERTEX_BLOCK`]-vertex block of the per-vertex view and the name
+/// list sit behind their own `Arc`, so `clone()` copies pointers and an
+/// update on a shared table re-allocates only the touched category's list
+/// and the touched vertex's block. A held clone never changes underfoot.
 #[derive(Clone, Debug, Default)]
 pub struct CategoryTable {
-    /// `F(v)`: categories of each vertex, sorted ascending.
-    per_vertex: Vec<Vec<CategoryId>>,
+    num_vertices: usize,
+    /// `F(v)`: categories of each vertex, sorted ascending, in blocks of
+    /// [`VERTEX_BLOCK`] vertices (the last block is padded with empty
+    /// lists).
+    per_vertex: Vec<VertexBlock>,
     /// `V_{Ci}`: vertices of each category, sorted ascending.
-    per_category: Vec<Vec<VertexId>>,
+    per_category: Vec<Arc<Vec<VertexId>>>,
     /// Optional human-readable names, indexed by category.
-    names: Vec<String>,
+    names: Arc<Vec<String>>,
+}
+
+/// Cuts a flat per-vertex family into padded copy-on-write blocks.
+fn into_blocks(mut flat: Vec<Vec<CategoryId>>) -> Vec<VertexBlock> {
+    let blocks = flat.len().div_ceil(VERTEX_BLOCK);
+    flat.resize(blocks * VERTEX_BLOCK, Vec::new());
+    let mut lists = flat.into_iter();
+    (0..blocks)
+        .map(|_| lists.by_ref().take(VERTEX_BLOCK).collect())
+        .collect()
 }
 
 impl CategoryTable {
     /// Creates an empty table for `num_vertices` vertices and no categories.
     pub fn new(num_vertices: usize) -> Self {
-        CategoryTable {
-            per_vertex: vec![Vec::new(); num_vertices],
-            per_category: Vec::new(),
-            names: Vec::new(),
-        }
+        let mut table = CategoryTable::default();
+        table.resize_vertices(num_vertices);
+        table
     }
 
     /// Assembles a table from prebuilt per-category member lists — the
@@ -63,15 +88,16 @@ impl CategoryTable {
             }
         }
         Ok(CategoryTable {
-            per_vertex,
-            per_category,
-            names,
+            num_vertices,
+            per_vertex: into_blocks(per_vertex),
+            per_category: per_category.into_iter().map(Arc::new).collect(),
+            names: Arc::new(names),
         })
     }
 
     /// Number of vertices the table covers.
     pub fn num_vertices(&self) -> usize {
-        self.per_vertex.len()
+        self.num_vertices
     }
 
     /// Number of known categories (`|S|`).
@@ -82,8 +108,8 @@ impl CategoryTable {
     /// Registers a new category with the given display name and returns its id.
     pub fn add_category(&mut self, name: impl Into<String>) -> CategoryId {
         let id = CategoryId(self.per_category.len() as u32);
-        self.per_category.push(Vec::new());
-        self.names.push(name.into());
+        self.per_category.push(Arc::default());
+        Arc::make_mut(&mut self.names).push(name.into());
         id
     }
 
@@ -103,7 +129,7 @@ impl CategoryTable {
 
     /// Replaces the display name of a category.
     pub fn rename(&mut self, c: CategoryId, name: impl Into<String>) {
-        self.names[c.index()] = name.into();
+        Arc::make_mut(&mut self.names)[c.index()] = name.into();
     }
 
     /// Looks a category up by display name.
@@ -120,43 +146,44 @@ impl CategoryTable {
     /// # Panics
     /// Panics if `v` or `c` is out of range.
     pub fn insert(&mut self, v: VertexId, c: CategoryId) -> bool {
-        let cats = &mut self.per_vertex[v.index()];
-        match cats.binary_search(&c) {
-            Ok(_) => false,
-            Err(pos) => {
-                cats.insert(pos, c);
-                let verts = &mut self.per_category[c.index()];
-                match verts.binary_search(&v) {
-                    Ok(_) => unreachable!("membership tables out of sync"),
-                    Err(vpos) => verts.insert(vpos, v),
-                }
-                true
-            }
+        assert!(v.index() < self.num_vertices, "vertex {v:?} out of range");
+        assert!(c.index() < self.per_category.len(), "{c:?} out of range");
+        let Err(pos) = self.categories_of(v).binary_search(&c) else {
+            return false;
+        };
+        self.categories_of_mut(v).insert(pos, c);
+        let verts = Arc::make_mut(&mut self.per_category[c.index()]);
+        match verts.binary_search(&v) {
+            Ok(_) => unreachable!("membership tables out of sync"),
+            Err(vpos) => verts.insert(vpos, v),
         }
+        true
     }
 
     /// Removes `v` from category `c` (the paper's *category remove* update).
     /// Returns `true` if the membership existed.
     pub fn remove(&mut self, v: VertexId, c: CategoryId) -> bool {
-        let cats = &mut self.per_vertex[v.index()];
-        match cats.binary_search(&c) {
-            Ok(pos) => {
-                cats.remove(pos);
-                let verts = &mut self.per_category[c.index()];
-                let vpos = verts
-                    .binary_search(&v)
-                    .expect("membership tables out of sync");
-                verts.remove(vpos);
-                true
-            }
-            Err(_) => false,
-        }
+        let Ok(pos) = self.categories_of(v).binary_search(&c) else {
+            return false;
+        };
+        self.categories_of_mut(v).remove(pos);
+        let verts = Arc::make_mut(&mut self.per_category[c.index()]);
+        let vpos = verts
+            .binary_search(&v)
+            .expect("membership tables out of sync");
+        verts.remove(vpos);
+        true
     }
 
     /// `F(v)`: the (sorted) categories of vertex `v`.
     #[inline]
     pub fn categories_of(&self, v: VertexId) -> &[CategoryId] {
-        &self.per_vertex[v.index()]
+        &self.per_vertex[v.index() / VERTEX_BLOCK][v.index() % VERTEX_BLOCK]
+    }
+
+    /// Mutable `F(v)`; un-shares `v`'s block (only) when a clone holds it.
+    fn categories_of_mut(&mut self, v: VertexId) -> &mut Vec<CategoryId> {
+        &mut Arc::make_mut(&mut self.per_vertex[v.index() / VERTEX_BLOCK])[v.index() % VERTEX_BLOCK]
     }
 
     /// `V_{Ci}`: the (sorted) vertices of category `c`.
@@ -174,26 +201,34 @@ impl CategoryTable {
     /// `true` iff `Ci ∈ F(v)`.
     #[inline]
     pub fn has_category(&self, v: VertexId, c: CategoryId) -> bool {
-        self.per_vertex[v.index()].binary_search(&c).is_ok()
+        self.categories_of(v).binary_search(&c).is_ok()
     }
 
     /// Iterates all `(vertex, category)` membership pairs.
     pub fn memberships(&self) -> impl Iterator<Item = (VertexId, CategoryId)> + '_ {
-        self.per_vertex
-            .iter()
-            .enumerate()
-            .flat_map(|(v, cats)| cats.iter().map(move |&c| (VertexId(v as u32), c)))
+        (0..self.num_vertices as u32).flat_map(move |v| {
+            self.categories_of(VertexId(v))
+                .iter()
+                .map(move |&c| (VertexId(v), c))
+        })
     }
 
     /// Total number of `(vertex, category)` memberships.
     pub fn num_memberships(&self) -> usize {
-        self.per_vertex.iter().map(Vec::len).sum()
+        self.per_category.iter().map(|members| members.len()).sum()
     }
 
     /// Grows the table to cover `n` vertices (no-op if already larger).
     pub fn resize_vertices(&mut self, n: usize) {
-        if n > self.per_vertex.len() {
-            self.per_vertex.resize(n, Vec::new());
+        if n > self.num_vertices {
+            self.num_vertices = n;
+            let blocks = n.div_ceil(VERTEX_BLOCK);
+            if blocks > self.per_vertex.len() {
+                // Fresh blocks are all-empty, so they can share one
+                // allocation until a membership lands in them.
+                let empty: VertexBlock = vec![Vec::new(); VERTEX_BLOCK].into();
+                self.per_vertex.resize(blocks, empty);
+            }
         }
     }
 }
@@ -301,6 +336,35 @@ mod tests {
         assert!(CategoryTable::from_parts(3, vec!["A".into()], vec![vec![v(2), v(1)]]).is_err());
         // Mismatched name count.
         assert!(CategoryTable::from_parts(3, vec![], vec![vec![v(1)]]).is_err());
+    }
+
+    #[test]
+    fn clones_share_untouched_sections_and_never_change_underfoot() {
+        let far = 2 * VERTEX_BLOCK as u32 + 7;
+        let mut t = CategoryTable::new(3 * VERTEX_BLOCK);
+        let a = t.add_category("A");
+        let b = t.add_category("B");
+        t.insert(v(1), a);
+        t.insert(v(far), b);
+        let held = t.clone();
+        assert!(t.insert(v(2), a));
+
+        // The held clone still answers the pre-update world.
+        assert_eq!(held.vertices_of(a), &[v(1)]);
+        assert!(!held.has_category(v(2), a));
+        assert_eq!(t.vertices_of(a), &[v(1), v(2)]);
+        // Only category A's list and vertex 2's block were re-allocated.
+        assert!(!std::ptr::eq(held.vertices_of(a), t.vertices_of(a)));
+        assert!(!std::ptr::eq(
+            held.categories_of(v(1)),
+            t.categories_of(v(1))
+        ));
+        assert!(std::ptr::eq(held.vertices_of(b), t.vertices_of(b)));
+        assert!(std::ptr::eq(
+            held.categories_of(v(far)),
+            t.categories_of(v(far))
+        ));
+        assert_eq!(held.name(b), t.name(b));
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //! so that reverse searches (backward pruned Dijkstra, bidirectional search)
 //! are as cheap as forward ones.
 
+use std::sync::Arc;
+
 use crate::categories::CategoryTable;
 use crate::{CategoryId, VertexId, Weight};
 
 /// An immutable directed weighted graph with vertex categories.
 ///
 /// Construction goes through [`GraphBuilder`]; the finished graph stores
-/// adjacency in CSR form (offset array + target/weight arrays, boxed slices —
-/// two words each instead of a `Vec`'s three).
+/// adjacency in CSR form (offset array + target/weight arrays). The slabs
+/// are immutable and shared: `clone()` copies six pointers (plus the
+/// copy-on-write [`CategoryTable`]), which is what lets every replica of
+/// every shard — and every index version a live update produces — serve
+/// from one copy of the adjacency.
 #[derive(Clone, Debug)]
 pub struct Graph {
-    out_offsets: Box<[u32]>,
-    out_targets: Box<[VertexId]>,
-    out_weights: Box<[Weight]>,
-    in_offsets: Box<[u32]>,
-    in_sources: Box<[VertexId]>,
-    in_weights: Box<[Weight]>,
+    out_offsets: Arc<[u32]>,
+    out_targets: Arc<[VertexId]>,
+    out_weights: Arc<[Weight]>,
+    in_offsets: Arc<[u32]>,
+    in_sources: Arc<[VertexId]>,
+    in_weights: Arc<[Weight]>,
     categories: CategoryTable,
 }
 
@@ -99,12 +104,12 @@ impl Graph {
             }
         }
         Ok(Graph {
-            out_offsets: out_offsets.into_boxed_slice(),
-            out_targets: out_targets.into_boxed_slice(),
-            out_weights: out_weights.into_boxed_slice(),
-            in_offsets: in_offsets.into_boxed_slice(),
-            in_sources: in_sources.into_boxed_slice(),
-            in_weights: in_weights.into_boxed_slice(),
+            out_offsets: out_offsets.into(),
+            out_targets: out_targets.into(),
+            out_weights: out_weights.into(),
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
+            in_weights: in_weights.into(),
             categories,
         })
     }
@@ -185,6 +190,14 @@ impl Graph {
         self.edge_weight(u, v).is_some()
     }
 
+    /// `true` when both graphs serve from the same adjacency slabs (one is
+    /// a clone of the other) — the structural-sharing probe tests and
+    /// memory accounting use. The six slabs are only ever built and cloned
+    /// as a set, so one of them speaks for all.
+    pub fn shares_csr_with(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.out_targets, &other.out_targets)
+    }
+
     /// The category table (`F` and the `V_{Ci}` sets).
     #[inline]
     pub fn categories(&self) -> &CategoryTable {
@@ -192,7 +205,8 @@ impl Graph {
     }
 
     /// Mutable access to the category table, for the dynamic category
-    /// updates of §IV-C. The graph structure itself is immutable.
+    /// updates of §IV-C (copy-on-write per touched category; see
+    /// [`CategoryTable`]). The graph structure itself is immutable.
     #[inline]
     pub fn categories_mut(&mut self) -> &mut CategoryTable {
         &mut self.categories
@@ -390,12 +404,12 @@ impl GraphBuilder {
 
         self.categories.resize_vertices(n);
         Graph {
-            out_offsets: out_offsets.into_boxed_slice(),
-            out_targets: out_targets.into_boxed_slice(),
-            out_weights: out_weights.into_boxed_slice(),
-            in_offsets: in_offsets.into_boxed_slice(),
-            in_sources: in_sources.into_boxed_slice(),
-            in_weights: in_weights.into_boxed_slice(),
+            out_offsets: out_offsets.into(),
+            out_targets: out_targets.into(),
+            out_weights: out_weights.into(),
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
+            in_weights: in_weights.into(),
             categories: self.categories,
         }
     }

@@ -43,8 +43,8 @@ impl std::fmt::Display for FlatError {
 impl std::error::Error for FlatError {}
 
 /// Total entries across `sets` (the `tot` a slab header must declare).
-pub fn entry_count(sets: &[LabelSet]) -> u64 {
-    sets.iter().map(|s| s.len() as u64).sum()
+pub fn entry_count<'a>(sets: impl IntoIterator<Item = &'a LabelSet>) -> u64 {
+    sets.into_iter().map(|s| s.len() as u64).sum()
 }
 
 /// Byte length of one slab group over `n` sets with `tot` total entries;
@@ -57,15 +57,22 @@ pub fn slab_len(n: usize, tot: u64) -> Option<usize> {
     offsets.checked_add(entries)
 }
 
-/// Appends the slab encoding of `sets` to `out`.
-pub fn encode_sets(sets: &[LabelSet], out: &mut Vec<u8>) {
+/// Appends the slab encoding of `sets` to `out`. Takes any re-walkable
+/// family of sets (a slice, or sets reached through per-set `Arc`s): the
+/// three arenas are written in three passes.
+pub fn encode_sets<'a, I>(sets: I, out: &mut Vec<u8>)
+where
+    I: IntoIterator<Item = &'a LabelSet>,
+    I::IntoIter: Clone,
+{
+    let sets = sets.into_iter();
     let mut off = 0u64;
     out.put_u64_le(0);
-    for s in sets {
+    for s in sets.clone() {
         off += s.len() as u64;
         out.put_u64_le(off);
     }
-    for s in sets {
+    for s in sets.clone() {
         for (h, _) in s.iter() {
             out.put_u32_le(h.0);
         }

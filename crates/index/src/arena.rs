@@ -49,7 +49,7 @@ use kosr_graph::{CategoryId, CategoryTable, FxHashMap, Graph, VertexId, Weight};
 use kosr_hoplabel::{flat, flat::FlatError, HopLabels};
 
 use crate::bounds::CategoryBounds;
-use crate::inverted::{CategoryIndexSet, InvertedLabelIndex};
+use crate::inverted::{CategoryIndexSet, HubList, InvertedLabelIndex};
 use crate::snapshot::{SnapshotError, MAGIC};
 
 /// The snapshot format version byte. (Version 1 was a rebuild-on-install
@@ -482,7 +482,7 @@ impl<'a> FlatSnapshot<'a> {
                 read_u64(self.inv_cat_offsets, c) as usize,
                 read_u64(self.inv_cat_offsets, c + 1) as usize,
             );
-            let mut lists: FxHashMap<VertexId, Vec<(VertexId, Weight)>> = FxHashMap::default();
+            let mut lists: FxHashMap<VertexId, HubList> = FxHashMap::default();
             lists.reserve(hi - lo);
             let mut prev_hub: Option<u32> = None;
             for h in lo..hi {
@@ -498,11 +498,10 @@ impl<'a> FlatSnapshot<'a> {
                     read_u64(self.inv_list_offsets, h) as usize,
                     read_u64(self.inv_list_offsets, h + 1) as usize,
                 );
-                let mut entries = Vec::with_capacity(ehi - elo);
+                let entry = |e: usize| (read_u64(self.inv_dists, e), read_u32(self.inv_members, e));
                 let mut prev_e: Option<(u64, u32)> = None;
                 for e in elo..ehi {
-                    let member = read_u32(self.inv_members, e);
-                    let dist = read_u64(self.inv_dists, e);
+                    let (dist, member) = entry(e);
                     if member as usize >= self.n {
                         return Err(SnapshotError::Corrupt("inverted member out of range"));
                     }
@@ -512,8 +511,15 @@ impl<'a> FlatSnapshot<'a> {
                         ));
                     }
                     prev_e = Some((dist, member));
-                    entries.push((VertexId(member), dist));
                 }
+                // Checked above; an exact-size iterator fills the shared
+                // list in its one allocation.
+                let entries: HubList = (elo..ehi)
+                    .map(|e| {
+                        let (dist, member) = entry(e);
+                        (VertexId(member), dist)
+                    })
+                    .collect();
                 lists.insert(VertexId(hub), entries);
             }
             let num_members =

@@ -33,6 +33,8 @@
 //! edge updates that repair labels) are **rebuilt** instead. Either way the
 //! table is always exact, which is the strongest form of admissible.
 
+use std::sync::Arc;
+
 use kosr_graph::{inf_add, is_finite, CategoryId, CategoryTable, VertexId, Weight};
 use kosr_hoplabel::batch::{min_join, min_merge_into, min_union};
 use kosr_hoplabel::{HopLabels, LabelSet};
@@ -73,12 +75,17 @@ fn map_parallel<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync
 /// The offline category-pair lower-bound table plus the per-category
 /// virtual label sets it is derived from (kept so source/target-side
 /// bounds and incremental maintenance don't re-touch member labels).
+///
+/// Every category's virtual sets and the pair table sit behind their own
+/// `Arc`: `clone()` copies pointers, and maintenance on a shared value
+/// re-allocates only the touched category's two sets plus the (`ncats²`
+/// words) table. A held clone never changes underfoot.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CategoryBounds {
-    lin_min: Vec<LabelSet>,
-    lout_min: Vec<LabelSet>,
+    lin_min: Vec<Arc<LabelSet>>,
+    lout_min: Vec<Arc<LabelSet>>,
     /// Row-major `ncats × ncats`: `table[i * ncats + j] = LB[cᵢ][cⱼ]`.
-    table: Vec<Weight>,
+    table: Arc<Vec<Weight>>,
 }
 
 impl CategoryBounds {
@@ -98,10 +105,10 @@ impl CategoryBounds {
         let mut lin_min = Vec::with_capacity(n);
         let mut lout_min = Vec::with_capacity(n);
         for (lin, lout) in virtuals {
-            lin_min.push(lin);
-            lout_min.push(lout);
+            lin_min.push(Arc::new(lin));
+            lout_min.push(Arc::new(lout));
         }
-        let table = map_parallel(n, parallel, |i| {
+        let table: Vec<Weight> = map_parallel(n, parallel, |i| {
             lin_min
                 .iter()
                 .map(|lin| min_join(&lout_min[i], lin))
@@ -113,7 +120,7 @@ impl CategoryBounds {
         Self {
             lin_min,
             lout_min,
-            table,
+            table: Arc::new(table),
         }
     }
 
@@ -182,8 +189,8 @@ impl CategoryBounds {
     /// column `c` (entries can only decrease, so this stays exact).
     pub fn insert_member(&mut self, labels: &HopLabels, v: VertexId, c: CategoryId) {
         let ci = c.0 as usize;
-        let lin_changed = min_merge_into(&mut self.lin_min[ci], labels.lin(v));
-        let lout_changed = min_merge_into(&mut self.lout_min[ci], labels.lout(v));
+        let lin_changed = min_merge_into(Arc::make_mut(&mut self.lin_min[ci]), labels.lin(v));
+        let lout_changed = min_merge_into(Arc::make_mut(&mut self.lout_min[ci]), labels.lout(v));
         if lin_changed || lout_changed {
             self.recompute_row_col(ci);
         }
@@ -196,27 +203,30 @@ impl CategoryBounds {
     pub fn remove_member(&mut self, labels: &HopLabels, categories: &CategoryTable, c: CategoryId) {
         let ci = c.0 as usize;
         let members = categories.vertices_of(c);
-        self.lin_min[ci] = min_union(members.iter().map(|&v| labels.lin(v)));
-        self.lout_min[ci] = min_union(members.iter().map(|&v| labels.lout(v)));
+        self.lin_min[ci] = Arc::new(min_union(members.iter().map(|&v| labels.lin(v))));
+        self.lout_min[ci] = Arc::new(min_union(members.iter().map(|&v| labels.lout(v))));
         self.recompute_row_col(ci);
     }
 
     fn recompute_row_col(&mut self, ci: usize) {
         let n = self.num_categories();
+        let table = Arc::make_mut(&mut self.table);
         for j in 0..n {
-            self.table[ci * n + j] = min_join(&self.lout_min[ci], &self.lin_min[j]);
-            self.table[j * n + ci] = min_join(&self.lout_min[j], &self.lin_min[ci]);
+            table[ci * n + j] = min_join(&self.lout_min[ci], &self.lin_min[j]);
+            table[j * n + ci] = min_join(&self.lout_min[j], &self.lin_min[ci]);
         }
     }
 
-    /// Per-category virtual `Lin` sets (snapshot encoding).
-    pub fn lin_min_sets(&self) -> &[LabelSet] {
-        &self.lin_min
+    /// Per-category virtual `Lin` sets, in category order (snapshot
+    /// encoding).
+    pub fn lin_min_sets(&self) -> impl Iterator<Item = &LabelSet> + Clone {
+        self.lin_min.iter().map(|set| &**set)
     }
 
-    /// Per-category virtual `Lout` sets (snapshot encoding).
-    pub fn lout_min_sets(&self) -> &[LabelSet] {
-        &self.lout_min
+    /// Per-category virtual `Lout` sets, in category order (snapshot
+    /// encoding).
+    pub fn lout_min_sets(&self) -> impl Iterator<Item = &LabelSet> + Clone {
+        self.lout_min.iter().map(|set| &**set)
     }
 
     /// The raw row-major table (snapshot encoding).
@@ -235,9 +245,9 @@ impl CategoryBounds {
             return None;
         }
         Some(Self {
-            lin_min,
-            lout_min,
-            table,
+            lin_min: lin_min.into_iter().map(Arc::new).collect(),
+            lout_min: lout_min.into_iter().map(Arc::new).collect(),
+            table: Arc::new(table),
         })
     }
 
@@ -246,7 +256,7 @@ impl CategoryBounds {
         self.lin_min
             .iter()
             .chain(self.lout_min.iter())
-            .map(LabelSet::size_bytes)
+            .map(|set| set.size_bytes())
             .sum::<usize>()
             + self.table.len() * std::mem::size_of::<Weight>()
     }
@@ -415,23 +425,16 @@ mod tests {
     fn from_parts_rejects_shape_mismatches() {
         let (g, labels) = world();
         let b = CategoryBounds::build(&labels, g.categories());
-        let ok = CategoryBounds::from_parts(
-            b.lin_min_sets().to_vec(),
-            b.lout_min_sets().to_vec(),
-            b.table_slice().to_vec(),
-        );
+        let lin: Vec<LabelSet> = b.lin_min_sets().cloned().collect();
+        let lout: Vec<LabelSet> = b.lout_min_sets().cloned().collect();
+        let ok = CategoryBounds::from_parts(lin.clone(), lout.clone(), b.table_slice().to_vec());
         assert_eq!(ok.as_ref(), Some(&b));
         assert!(CategoryBounds::from_parts(
-            b.lin_min_sets().to_vec(),
-            b.lout_min_sets()[..1].to_vec(),
+            lin.clone(),
+            lout[..1].to_vec(),
             b.table_slice().to_vec()
         )
         .is_none());
-        assert!(CategoryBounds::from_parts(
-            b.lin_min_sets().to_vec(),
-            b.lout_min_sets().to_vec(),
-            vec![0; 3]
-        )
-        .is_none());
+        assert!(CategoryBounds::from_parts(lin, lout, vec![0; 3]).is_none());
     }
 }

@@ -9,14 +9,22 @@
 //! Dynamic category updates (§IV-C) insert or remove one member's entries in
 //! `O(|Lin(v)| log |Ci|)` by binary-searching each affected hub list.
 
+use std::sync::Arc;
+
 use kosr_graph::{CategoryId, CategoryTable, FxHashMap, VertexId, Weight};
 use kosr_hoplabel::HopLabels;
+
+/// One hub's inverted list. Shared and immutable: a member update swaps
+/// in rewritten lists for the hubs of the member's `Lin` label only, so
+/// cloning an index (the copy-on-write step of a live update) copies one
+/// pointer per hub instead of every entry.
+pub type HubList = Arc<[(VertexId, Weight)]>;
 
 /// Inverted label index of a single category.
 #[derive(Clone, Debug, Default)]
 pub struct InvertedLabelIndex {
     /// Hub `u′` → entries `(member, d(u′, member))` sorted by (cost, member).
-    lists: FxHashMap<VertexId, Vec<(VertexId, Weight)>>,
+    lists: FxHashMap<VertexId, HubList>,
     /// Number of member vertices indexed.
     num_members: usize,
 }
@@ -39,19 +47,13 @@ impl InvertedLabelIndex {
                 lists.entry(hub).or_default().push((u, d));
             }
         }
-        for list in lists.values_mut() {
-            list.sort_unstable_by_key(|&(m, d)| (d, m));
-        }
-        InvertedLabelIndex {
-            lists,
-            num_members: members.len(),
-        }
+        Self::from_lists(lists, members.len())
     }
 
     /// The inverted list of hub `u′` (`IL(u′)`), if any member references it.
     #[inline]
     pub fn list(&self, hub: VertexId) -> Option<&[(VertexId, Weight)]> {
-        self.lists.get(&hub).map(Vec::as_slice)
+        self.lists.get(&hub).map(|list| &**list)
     }
 
     /// Number of hubs with a non-empty list.
@@ -66,7 +68,7 @@ impl InvertedLabelIndex {
 
     /// Total entries across all lists (the paper's `|IL(Ci)|`).
     pub fn num_entries(&self) -> usize {
-        self.lists.values().map(Vec::len).sum()
+        self.lists.values().map(|list| list.len()).sum()
     }
 
     /// Average entries per hub list (the paper's `Avg |IL(v)|`).
@@ -87,9 +89,14 @@ impl InvertedLabelIndex {
     /// `(u′, d) ∈ Lin(v)` gains an inverted entry, placed by binary search.
     pub fn insert_member(&mut self, labels: &HopLabels, v: VertexId) {
         for (hub, d) in labels.lin(v).iter() {
-            let list = self.lists.entry(hub).or_default();
-            let pos = list.partition_point(|&(m, dm)| (dm, m) < (d, v));
-            list.insert(pos, (v, d));
+            let list = self.lists.entry(hub).or_insert_with(|| Arc::new([]));
+            let (before, after) = list.split_at(list.partition_point(|&(m, dm)| (dm, m) < (d, v)));
+            *list = before
+                .iter()
+                .chain(std::iter::once(&(v, d)))
+                .chain(after)
+                .copied()
+                .collect();
         }
         self.num_members += 1;
     }
@@ -99,11 +106,17 @@ impl InvertedLabelIndex {
         for (hub, d) in labels.lin(v).iter() {
             if let Some(list) = self.lists.get_mut(&hub) {
                 let pos = list.partition_point(|&(m, dm)| (dm, m) < (d, v));
-                if pos < list.len() && list[pos] == (v, d) {
-                    list.remove(pos);
+                if list.get(pos) != Some(&(v, d)) {
+                    continue;
                 }
-                if list.is_empty() {
+                if list.len() == 1 {
                     self.lists.remove(&hub);
+                } else {
+                    *list = list[..pos]
+                        .iter()
+                        .chain(&list[pos + 1..])
+                        .copied()
+                        .collect();
                 }
             }
         }
@@ -112,17 +125,14 @@ impl InvertedLabelIndex {
 
     /// Iterates `(hub, list)` pairs (serialization support).
     pub fn iter_lists(&self) -> impl Iterator<Item = (VertexId, &[(VertexId, Weight)])> {
-        self.lists.iter().map(|(&h, l)| (h, l.as_slice()))
+        self.lists.iter().map(|(&h, l)| (h, &**l))
     }
 
     /// Like [`InvertedLabelIndex::from_lists`] but trusts that every list
     /// already satisfies the `(cost, member)` ordering — the zero-copy
     /// snapshot install path, whose byte-level validation has enforced the
     /// invariant before any list was materialised. No sorting pass runs.
-    pub fn from_sorted_lists(
-        lists: FxHashMap<VertexId, Vec<(VertexId, Weight)>>,
-        num_members: usize,
-    ) -> Self {
+    pub fn from_sorted_lists(lists: FxHashMap<VertexId, HubList>, num_members: usize) -> Self {
         debug_assert!(lists
             .values()
             .all(|l| l.windows(2).all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0))));
@@ -132,14 +142,14 @@ impl InvertedLabelIndex {
     /// Builds directly from raw hub lists (deserialization support). Lists
     /// are re-sorted to enforce the invariant.
     pub fn from_lists(
-        lists: FxHashMap<VertexId, Vec<(VertexId, Weight)>>,
+        mut lists: FxHashMap<VertexId, Vec<(VertexId, Weight)>>,
         num_members: usize,
     ) -> Self {
-        let mut idx = InvertedLabelIndex { lists, num_members };
-        for list in idx.lists.values_mut() {
+        for list in lists.values_mut() {
             list.sort_unstable_by_key(|&(m, d)| (d, m));
         }
-        idx
+        let lists = lists.into_iter().map(|(h, l)| (h, l.into())).collect();
+        Self::from_sorted_lists(lists, num_members)
     }
 }
 
@@ -157,9 +167,14 @@ pub struct InvertedStats {
 }
 
 /// The inverted label indexes of **every** category of a graph.
+///
+/// One `Arc` per category: `clone()` copies pointers, and a dynamic update
+/// on a shared set ([`CategoryIndexSet::category_mut`]) re-allocates only
+/// the touched category's `IL(Ci)` — the paper's §IV-C cost, not a copy of
+/// every category. A held clone never changes underfoot.
 #[derive(Clone, Debug, Default)]
 pub struct CategoryIndexSet {
-    indexes: Vec<InvertedLabelIndex>,
+    indexes: Vec<Arc<InvertedLabelIndex>>,
 }
 
 impl CategoryIndexSet {
@@ -190,14 +205,23 @@ impl CategoryIndexSet {
             },
             size_bytes: indexes.iter().map(InvertedLabelIndex::size_bytes).sum(),
         };
-        (CategoryIndexSet { indexes }, stats)
+        (Self::from_indexes(indexes), stats)
     }
 
     /// Assembles a set from prebuilt per-category indexes (index `i` serves
     /// `CategoryId(i)`). Used by the disk-backed SK-DB runner, which loads
     /// only the categories a query needs and leaves the rest empty.
     pub fn from_indexes(indexes: Vec<InvertedLabelIndex>) -> Self {
-        CategoryIndexSet { indexes }
+        CategoryIndexSet {
+            indexes: indexes.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// Appends the index of a new category (id = the previous
+    /// [`CategoryIndexSet::num_categories`]) — how a shard build adds its
+    /// shadow categories on top of the shared base ones.
+    pub fn push(&mut self, index: InvertedLabelIndex) {
+        self.indexes.push(Arc::new(index));
     }
 
     /// The inverted index of category `c`.
@@ -206,9 +230,10 @@ impl CategoryIndexSet {
         &self.indexes[c.index()]
     }
 
-    /// Mutable access for dynamic updates.
+    /// Mutable access for dynamic updates; un-shares category `c`'s index
+    /// (only) when a clone of the set still holds it.
     pub fn category_mut(&mut self, c: CategoryId) -> &mut InvertedLabelIndex {
-        &mut self.indexes[c.index()]
+        Arc::make_mut(&mut self.indexes[c.index()])
     }
 
     /// Number of categories covered.
@@ -244,7 +269,7 @@ impl CategoryIndexSet {
         c: CategoryId,
     ) -> bool {
         if categories.insert(v, c) {
-            self.indexes[c.index()].insert_member(labels, v);
+            self.category_mut(c).insert_member(labels, v);
             true
         } else {
             false
@@ -260,7 +285,7 @@ impl CategoryIndexSet {
         c: CategoryId,
     ) -> bool {
         if categories.remove(v, c) {
-            self.indexes[c.index()].remove_member(labels, v);
+            self.category_mut(c).remove_member(labels, v);
             true
         } else {
             false

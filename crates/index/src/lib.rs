@@ -34,7 +34,7 @@ pub mod snapshot;
 mod target;
 
 pub use bounds::{CategoryBounds, SeqBounds};
-pub use inverted::{CategoryIndexSet, InvertedLabelIndex, InvertedStats};
+pub use inverted::{CategoryIndexSet, HubList, InvertedLabelIndex, InvertedStats};
 pub use nen::{EstimatedNeighbor, NenFinder};
 pub use nn::{DijkstraNn, LabelNn, NearestNeighbors};
 pub use target::{DijkstraTarget, LabelTarget, TargetDistance};

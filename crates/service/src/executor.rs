@@ -15,11 +15,12 @@
 //!    an epoch-stamped snapshot of the index; the outcome travels back
 //!    through the ticket. End-to-end latency (queue wait included) feeds
 //!    the service and per-method histograms.
-//! 5. **Live updates** — [`KosrService::apply_update`] mutates the index
-//!    copy-on-write behind an `RwLock`, bumps the index epoch, and drives
-//!    the matching cache-invalidation hook; workers refuse to cache
-//!    results computed against a superseded epoch, so a stale answer is
-//!    never served after an update.
+//! 5. **Live updates** — [`KosrService::apply_update`] builds the next
+//!    index version beside the served one (sharing every section the
+//!    update does not touch), swaps it in behind an `RwLock`, bumps the
+//!    index epoch, and drives the matching cache-invalidation hook;
+//!    workers refuse to cache results computed against a superseded
+//!    epoch, so a stale answer is never served after an update.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -273,9 +274,14 @@ struct MethodCounter {
 }
 
 struct Shared {
-    /// The served index. Reads take a brief shared lock to clone the
-    /// `Arc`; updates mutate copy-on-write behind the exclusive lock.
+    /// The served index version. Reads take a brief shared lock to clone
+    /// the `Arc`; a writer holds the exclusive lock only to swap in a
+    /// version it built beforehand.
     index: RwLock<Arc<IndexedGraph>>,
+    /// Serialises writers (`apply_update`, `install_index`): each builds
+    /// its version from the one its predecessor installed, so no update
+    /// is lost — without making readers wait for the build.
+    writer: Mutex<()>,
     /// Bumped (under the write lock) by every applied update. Workers
     /// stamp their index snapshot with it and refuse to cache results
     /// whose epoch is no longer current — the guard that makes
@@ -571,6 +577,7 @@ impl KosrService {
         };
         let shared = Arc::new(Shared {
             index: RwLock::new(ig),
+            writer: Mutex::new(()),
             epoch: AtomicU64::new(0),
             planner: QueryPlanner::new(config.planner),
             queue: Mutex::new(QueueState::default()),
@@ -611,9 +618,10 @@ impl KosrService {
         }
     }
 
-    /// A point-in-time snapshot of the served index. Updates replace the
-    /// `Arc` copy-on-write, so a held snapshot stays internally consistent
-    /// (and goes stale) rather than changing underfoot.
+    /// A point-in-time snapshot of the served index. Updates install a new
+    /// version, so a held snapshot stays internally consistent (and goes
+    /// stale) rather than changing underfoot; it shares every section
+    /// later versions did not touch.
     pub fn indexed_graph(&self) -> Arc<IndexedGraph> {
         self.shared.index_snapshot().1
     }
@@ -779,85 +787,94 @@ impl KosrService {
             .collect()
     }
 
-    /// Applies a dynamic update end-to-end: mutates the served index
-    /// (copy-on-write behind the index lock), bumps the index epoch, and
-    /// drives the matching cache-invalidation hook — membership updates
-    /// drop only the answers touching the category, structural updates
-    /// drop everything. After `apply_update` returns, no response can ever
-    /// again be served from a pre-update answer: already-cached stale
-    /// entries are swept by the hook, and in-flight queries computed
-    /// against the old snapshot are barred from the cache by the epoch
-    /// guard (they still *answer* with the old snapshot — updates are
-    /// linearised at the index swap, not at submission).
+    /// Installs `next` as the served index and returns the epoch it
+    /// serves under. The write lock is held for the pointer swap and the
+    /// epoch bump only — workers read `(epoch, index)` under the read
+    /// lock, so the pair stays atomic — and the superseded version is
+    /// released after the lock (freeing it is not the readers' problem).
+    fn swap_index(&self, next: Arc<IndexedGraph>) -> u64 {
+        let mut guard = self.shared.index.write().expect("index lock poisoned");
+        let _superseded = std::mem::replace(&mut *guard, next);
+        let epoch = self.shared.epoch.fetch_add(1, Ordering::Release) + 1;
+        drop(guard);
+        epoch
+    }
+
+    /// Journals an index swap under the epoch the swap itself produced.
+    fn emit_epoch_swap(&self, epoch: u64, reason: &str, invalidated: usize) {
+        self.shared.events.emit(
+            Source::Service,
+            EventKind::EpochSwap,
+            None,
+            vec![
+                ("epoch".to_string(), TagValue::U64(epoch)),
+                ("reason".to_string(), TagValue::Str(reason.to_string())),
+                ("invalidated".to_string(), TagValue::U64(invalidated as u64)),
+            ],
+        );
+    }
+
+    /// Applies a dynamic update end-to-end: installs the next version of
+    /// the served index, bumps the index epoch, and drives the matching
+    /// cache-invalidation hook — membership updates drop only the answers
+    /// touching the category, structural updates drop everything. After
+    /// `apply_update` returns, no response can ever again be served from a
+    /// pre-update answer: already-cached stale entries are swept by the
+    /// hook, and in-flight queries computed against the old snapshot are
+    /// barred from the cache by the epoch guard (they still *answer* with
+    /// the old snapshot — updates are linearised at the index swap, not at
+    /// submission).
     ///
-    /// Copy-on-write means an update clones the index only when snapshots
-    /// are held elsewhere (in-flight queries, external `Arc`s); a quiescent
-    /// service mutates in place, and edge inserts repair the 2-hop labels
-    /// incrementally either way.
+    /// There is one path, whoever holds snapshots: the next version starts
+    /// as a pointer-copy clone of the current one ([`IndexedGraph`] is a
+    /// struct of shared sections) and the update re-allocates only what it
+    /// touches — a membership flip the touched category's sections, an
+    /// edge insert the CSR, the labels it repairs incrementally and the
+    /// indexes derived from them. The build runs **off** the index lock
+    /// (writers queue on their own mutex), so readers never wait for it
+    /// and a reader holding a snapshot costs the writer nothing.
     pub fn apply_update(&self, update: &Update) -> Result<UpdateReceipt, UpdateError> {
-        let mut guard = self.shared.index.write().unwrap();
-        // Validate against the current index before mutating.
-        let n = guard.graph.num_vertices();
-        let nc = guard.graph.categories().num_categories();
+        let _writer = self.shared.writer.lock().expect("writer mutex poisoned");
+        let current = self.indexed_graph();
+        // Validate against the current index before building anything.
+        let n = current.graph.num_vertices();
+        let nc = current.graph.categories().num_categories();
         let check_vertex = |v: VertexId| {
             (v.index() < n)
                 .then_some(())
                 .ok_or(UpdateError::VertexOutOfRange(v))
         };
+        let check_membership = |v: VertexId, c: CategoryId| {
+            check_vertex(v)?;
+            (c.index() < nc)
+                .then_some(())
+                .ok_or(UpdateError::UnknownCategory(c))
+        };
+        let mut next = IndexedGraph::clone(&current);
         let (applied, label_entries_added) = match *update {
             Update::InsertMembership { vertex, category } => {
-                check_vertex(vertex)?;
-                if category.index() >= nc {
-                    return Err(UpdateError::UnknownCategory(category));
-                }
-                (
-                    Arc::make_mut(&mut guard).insert_membership(vertex, category),
-                    0,
-                )
+                check_membership(vertex, category)?;
+                (next.insert_membership(vertex, category), 0)
             }
             Update::RemoveMembership { vertex, category } => {
-                check_vertex(vertex)?;
-                if category.index() >= nc {
-                    return Err(UpdateError::UnknownCategory(category));
-                }
-                (
-                    Arc::make_mut(&mut guard).remove_membership(vertex, category),
-                    0,
-                )
+                check_membership(vertex, category)?;
+                (next.remove_membership(vertex, category), 0)
             }
             Update::InsertEdge { from, to, weight } => {
                 check_vertex(from)?;
                 check_vertex(to)?;
-                let added = Arc::make_mut(&mut guard).insert_edge(from, to, weight)?;
-                (true, added)
+                (true, next.insert_edge(from, to, weight)?)
             }
         };
-        if applied {
-            // Bump while still holding the write lock: workers read
-            // (epoch, index) under the read lock, so the pair is atomic.
-            self.shared.epoch.fetch_add(1, Ordering::Release);
+        if !applied {
+            return Ok(UpdateReceipt::default());
         }
-        drop(guard);
-
-        let invalidated = if applied {
-            let dropped = match update.touched_category() {
-                Some(c) => self.invalidate_category(c),
-                None => self.invalidate_all(),
-            };
-            self.shared.events.emit(
-                Source::Service,
-                EventKind::EpochSwap,
-                None,
-                vec![
-                    ("epoch".to_string(), TagValue::U64(self.index_epoch())),
-                    ("reason".to_string(), TagValue::Str("update".to_string())),
-                    ("invalidated".to_string(), TagValue::U64(dropped as u64)),
-                ],
-            );
-            dropped
-        } else {
-            0
+        let epoch = self.swap_index(Arc::new(next));
+        let invalidated = match update.touched_category() {
+            Some(c) => self.invalidate_category(c),
+            None => self.invalidate_all(),
         };
+        self.emit_epoch_swap(epoch, "update", invalidated);
         Ok(UpdateReceipt {
             applied,
             label_entries_added,
@@ -872,27 +889,10 @@ impl KosrService {
     /// against the old index are barred from the cache) and flushes every
     /// cached answer.
     pub fn install_index(&self, ig: Arc<IndexedGraph>) {
-        {
-            let mut guard = self.shared.index.write().unwrap();
-            *guard = ig;
-            // Bump under the write lock: workers read (epoch, index) under
-            // the read lock, so the pair stays atomic.
-            self.shared.epoch.fetch_add(1, Ordering::Release);
-        }
+        let _writer = self.shared.writer.lock().expect("writer mutex poisoned");
+        let epoch = self.swap_index(ig);
         let dropped = self.invalidate_all();
-        self.shared.events.emit(
-            Source::Service,
-            EventKind::EpochSwap,
-            None,
-            vec![
-                ("epoch".to_string(), TagValue::U64(self.index_epoch())),
-                (
-                    "reason".to_string(),
-                    TagValue::Str("snapshot_install".to_string()),
-                ),
-                ("invalidated".to_string(), TagValue::U64(dropped as u64)),
-            ],
-        );
+        self.emit_epoch_swap(epoch, "snapshot_install", dropped);
     }
 
     /// Records an upstream update-log compaction notice: entries below

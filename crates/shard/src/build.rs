@@ -1,8 +1,10 @@
 //! Building per-shard replicas from one indexed graph and a partition.
 
+use std::sync::Arc;
+
 use kosr_core::IndexedGraph;
 use kosr_graph::{CategoryId, Partition, PartitionStats, VertexId};
-use kosr_index::{CategoryBounds, CategoryIndexSet, InvertedLabelIndex};
+use kosr_index::{CategoryBounds, InvertedLabelIndex};
 
 /// One [`IndexedGraph`] replica per shard, each carrying the replicated
 /// routing skeleton plus its own slice of the category data as *shadow
@@ -29,9 +31,10 @@ pub struct ShardSet {
 
 impl ShardSet {
     /// Derives one replica per shard of `partition` from the unsharded
-    /// `ig`. The graph structure and 2-hop labels are cloned per shard
-    /// (replication); inverted indexes for shadow categories are built
-    /// over each shard's owned member slice only.
+    /// `ig`. The graph structure, the 2-hop labels and the base
+    /// categories' inverted indexes are replicated by *sharing* `ig`'s
+    /// sections (see [`IndexedGraph`]); inverted indexes for shadow
+    /// categories are built over each shard's owned member slice only.
     pub fn build(ig: &IndexedGraph, partition: Partition) -> ShardSet {
         let base = ig.graph.categories().num_categories();
         let shards = (0..partition.num_shards())
@@ -49,22 +52,20 @@ impl ShardSet {
                     }
                     owned_members.push(members);
                 }
-                let indexes: Vec<InvertedLabelIndex> = (0..base)
-                    .map(|c| ig.inverted.category(CategoryId(c as u32)).clone())
-                    .chain(
-                        owned_members
-                            .iter()
-                            .map(|m| InvertedLabelIndex::build_from_members(&ig.labels, m)),
-                    )
-                    .collect();
+                // Base categories share the unsharded indexes (pointer
+                // copies); only the shadows are built per shard.
+                let mut inverted = ig.inverted.clone();
+                for members in &owned_members {
+                    inverted.push(InvertedLabelIndex::build_from_members(&ig.labels, members));
+                }
                 // The chain tables cover the shadow categories too, so
                 // the router can bound shadow-rewritten queries against
                 // this shard's owned first stops.
                 let bounds = CategoryBounds::build(&ig.labels, graph.categories());
                 IndexedGraph {
                     graph,
-                    labels: ig.labels.clone(),
-                    inverted: CategoryIndexSet::from_indexes(indexes),
+                    labels: Arc::clone(&ig.labels),
+                    inverted,
                     bounds,
                     label_stats: ig.label_stats,
                     inverted_stats: ig.inverted_stats,

@@ -12,6 +12,15 @@
 //!
 //! > a replica serves queries **iff** it has applied the full update log.
 //!
+//! `publish` sends the update to every healthy replica **concurrently**
+//! and accounts the results in `(shard, replica)` order, holding the
+//! log's publisher section but not its cursor state: queries keep flowing
+//! while replicas apply, and see `cursor < tail` until the fan-out is
+//! accounted (see `UpdateLog`). A query that overlaps a publish may be
+//! served by replicas on either side of it — as a query already in a
+//! replica's queue always could; answers are exact for the log prefix
+//! each serving replica has applied.
+//!
 //! A replica whose apply faults is marked `Down` on the spot (its log
 //! cursor stays behind) and the fleet fails over around it. It returns to
 //! service only through [`LiveUpdateBus::recover`], which replays the
@@ -147,9 +156,10 @@ impl LiveUpdateBus {
     }
 
     /// Validates `update` against the shared base state, logs it, then
-    /// applies it to every healthy replica of every shard. Replicas that
-    /// fault mid-publish are marked down with their cursor behind — the
-    /// receipt reports them as deferred — and recover by replay.
+    /// applies it to every healthy replica of every shard — all replicas
+    /// at once, results accounted in `(shard, replica)` order. Replicas
+    /// that fault mid-publish are marked down with their cursor behind —
+    /// the receipt reports them as deferred — and recover by replay.
     pub fn publish(&self, update: &Update) -> Result<BusReceipt, ShardError> {
         // Validate once, against base-category bounds: replicas know more
         // categories (the shadows), but bus clients speak base ids.
@@ -176,18 +186,33 @@ impl LiveUpdateBus {
 
         let shadow = self.shadow_update(update);
         let mut receipt = BusReceipt::default();
-        let mut log = self.log.lock();
-        let seq = log.push(*update);
+        let publishing = self.log.publisher();
+        let seq = self.log.state().push(*update);
         receipt.epoch = seq as u64;
-        let mut applied_any = false;
+        // Replicas only turn healthy inside a publisher section (recovery),
+        // so this snapshot can only shrink while the fan-out runs — and a
+        // replica that goes down meanwhile simply faults its apply.
+        let targets: Vec<(usize, usize)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .flat_map(|(j, set)| set.healthy_indices().into_iter().map(move |r| (j, r)))
+            .collect();
+        let results = self.apply_to_all(&targets, update, &shadow);
+        // A deterministic rejection means "every consistent replica
+        // refuses": when no replica accepted, nothing mutated anywhere.
+        // (The fan-out is already done, so unlike a serial loop this looks
+        // at all results, not only at the ones accounted so far.)
+        let accepted_any = results.iter().any(Result::is_ok);
+        let mut outcomes = targets.into_iter().zip(results).peekable();
+        let mut state = self.log.state();
         for (j, set) in self.shards.iter().enumerate() {
-            let healthy = set.healthy_indices();
             for r in 0..set.num_replicas() {
-                if !healthy.contains(&r) {
+                let Some((_, result)) = outcomes.next_if(|&(target, _)| target == (j, r)) else {
                     receipt.deferred_replicas += 1;
                     continue; // cursor stays behind; recovery will replay
-                }
-                match self.apply_to_replica(j, set.transport(r).as_ref(), update, &shadow) {
+                };
+                match result {
                     Ok(receipts) => {
                         for rec in receipts {
                             receipt.merge(&rec);
@@ -198,22 +223,21 @@ impl LiveUpdateBus {
                         if shadow.as_ref().is_some_and(|&(owner, _)| owner == j) {
                             receipt.owner_shard = Some(j);
                         }
-                        applied_any = true;
-                        log.cursors[j][r] = seq;
+                        state.cursors[j][r] = seq;
                     }
                     Err(e) if e.is_fault() => {
                         set.note_down(r, EventKind::ReplicaDown, None);
                         receipt.deferred_replicas += 1;
                     }
                     Err(TransportError::Update(e)) => {
-                        if !applied_any {
-                            // Deterministic rejection on the first replica:
-                            // every consistent replica would repeat it, so
-                            // nothing mutated anywhere — unlog and refuse.
-                            log.pop_newest();
+                        if !accepted_any {
+                            // Unlog and refuse. Replicas that *faulted*
+                            // ahead of this one stay marked down, as they
+                            // would have in a serial loop.
+                            state.pop_newest();
                             return Err(ShardError::Update(e));
                         }
-                        // A rejection after some replica accepted means
+                        // A rejection while some replica accepted means
                         // this replica diverged: quarantine it for replay.
                         set.note_down(r, EventKind::ReplicaQuarantined, None);
                         receipt.deferred_replicas += 1;
@@ -222,6 +246,7 @@ impl LiveUpdateBus {
                 }
             }
         }
+        drop(state);
         // Membership counts may have changed: fan-out planning must
         // re-read. Deferred replicas count too — the update is logged and
         // *will* apply at replay, so a cache kept warm on the strength of
@@ -236,10 +261,10 @@ impl LiveUpdateBus {
         if !receipt.applied {
             receipt.owner_shard = None;
         }
-        // Release the log before the journal and the observers: an
-        // observer may re-enter the bus/router (recompute a standing
-        // query, read cursor state) and would deadlock on `self.log`.
-        drop(log);
+        // Leave the publisher section before the journal and the
+        // observers: an observer may re-enter the bus (publish, recover)
+        // and would deadlock on it.
+        drop(publishing);
         self.events.emit(
             Source::Service,
             EventKind::UpdatePublished,
@@ -257,6 +282,38 @@ impl LiveUpdateBus {
         Ok(receipt)
     }
 
+    /// Sends `update` (with the owner shard's shadow companion) to every
+    /// `(shard, replica)` in `targets` at once; results come back in
+    /// `targets` order. One scoped thread per replica beyond the first,
+    /// which runs on the caller's — a publish costs the slowest replica,
+    /// not the sum of all of them.
+    fn apply_to_all(
+        &self,
+        targets: &[(usize, usize)],
+        update: &Update,
+        shadow: &Option<(usize, Update)>,
+    ) -> Vec<Result<Vec<UpdateReceipt>, TransportError>> {
+        let apply = |&(j, r): &(usize, usize)| {
+            self.apply_to_replica(j, self.shards[j].transport(r).as_ref(), update, shadow)
+        };
+        let Some((first, rest)) = targets.split_first() else {
+            return Vec::new();
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .iter()
+                .map(|target| scope.spawn(move || apply(target)))
+                .collect();
+            std::iter::once(apply(first))
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("replica apply thread panicked")),
+                )
+                .collect()
+        })
+    }
+
     /// Replays the log suffix replica `r` of shard `j` missed, then marks
     /// it healthy. Returns the number of log entries replayed.
     ///
@@ -271,45 +328,44 @@ impl LiveUpdateBus {
     /// cursor).
     pub fn recover(&self, j: usize, r: usize) -> Result<usize, ShardError> {
         let set = &self.shards[j];
-        let mut log = self.log.lock();
-        let start = log.cursors[j][r];
-        if start < log.head() {
-            return Err(ShardError::CursorTooOld {
-                cursor: start,
-                head: log.head(),
-            });
-        }
-        let mut replayed = 0;
-        for seq in start..log.tail() {
-            let update = log.get(seq).expect("cursor ≥ head ⇒ suffix is live");
-            let shadow = self.shadow_update(&update);
-            match self.apply_to_replica(j, set.transport(r).as_ref(), &update, &shadow) {
+        let _publishing = self.log.publisher();
+        let (start, suffix) = {
+            let state = self.log.state();
+            let start = state.cursors[j][r];
+            if start < state.head() {
+                return Err(ShardError::CursorTooOld {
+                    cursor: start,
+                    head: state.head(),
+                });
+            }
+            (start, state.suffix(start).to_vec())
+        };
+        for (replayed, update) in suffix.iter().enumerate() {
+            let shadow = self.shadow_update(update);
+            match self.apply_to_replica(j, set.transport(r).as_ref(), update, &shadow) {
                 Ok(_) => {}
                 Err(TransportError::Update(UpdateError::Graph(
                     kosr_core::GraphUpdateError::WeightNotDecreased { .. },
                 ))) => {} // already in the snapshot the replica joined from
                 Err(e) if e.is_fault() => {
                     set.note_down(r, EventKind::ReplicaDown, None);
-                    log.cursors[j][r] = start + replayed;
+                    self.log.state().cursors[j][r] = start + replayed;
                     return Err(ShardError::from(e));
                 }
                 Err(e) => return Err(ShardError::from(e)),
             }
-            replayed += 1;
         }
-        log.cursors[j][r] = log.tail();
+        // No publish ran meanwhile (publisher section), so the suffix
+        // replayed is everything up to the tail.
+        self.log.state().cursors[j][r] = start + suffix.len();
         set.mark_healthy(r);
         // Replayed membership updates change member counts after the
         // publish-time invalidation already happened: drop the fan-out
         // cache again so planning re-reads the converged fleet.
-        if log
-            .suffix(start)
-            .iter()
-            .any(|u| u.touched_category().is_some())
-        {
+        if suffix.iter().any(|u| u.touched_category().is_some()) {
             self.fanout.invalidate_all();
         }
-        Ok(replayed)
+        Ok(suffix.len())
     }
 
     /// Refreshes replica `r` of shard `j` **by snapshot**: pulls a blob
@@ -321,12 +377,12 @@ impl LiveUpdateBus {
     /// replay limit) returns to service without an unbounded replay.
     ///
     /// The cursor-before-pull capture is safe for the same one-way reason
-    /// as `ShardRouter::snapshot_shard`: the blob can only be *ahead* of
-    /// the captured cursor, and replay is idempotent against
-    /// already-contained updates.
+    /// as `ShardRouter::snapshot_shard`: the cursor is the *settled* tail
+    /// (no publish in flight), so the blob can only be *ahead* of it, and
+    /// replay is idempotent against already-contained updates.
     pub fn refresh(&self, j: usize, r: usize) -> Result<usize, ShardError> {
         let set = &self.shards[j];
-        let cursor = self.log.lock().tail();
+        let cursor = self.log.settled_tail();
         let blob = match set.call_with_failover(|t| t.snapshot()) {
             Ok(blob) => blob,
             Err(e) => {
@@ -335,10 +391,7 @@ impl LiveUpdateBus {
                 // shard's own minimum cursor — so if the replica's suffix
                 // is still live, fall back to plain replay (however long)
                 // rather than wedging on an impossible refresh.
-                let (cursor, head) = {
-                    let log = self.log.lock();
-                    (log.cursors[j][r], log.head())
-                };
+                let (cursor, head, _) = self.cursor_state(j, r);
                 if cursor >= head {
                     return self.recover(j, r);
                 }
@@ -348,7 +401,10 @@ impl LiveUpdateBus {
         set.transport(r)
             .install_snapshot(&blob)
             .map_err(ShardError::from)?;
-        self.log.lock().cursors[j][r] = cursor;
+        {
+            let _publishing = self.log.publisher();
+            self.log.state().cursors[j][r] = cursor;
+        }
         self.recover(j, r)
     }
 
@@ -391,7 +447,8 @@ impl LiveUpdateBus {
     /// tighter bound is used so short-downed replicas keep their cheap
     /// replay path. Returns the number of entries dropped.
     pub fn compact(&self, watermark: usize) -> usize {
-        let mut log = self.log.lock();
+        let _publishing = self.log.publisher();
+        let mut log = self.log.state();
         if log.live_len() <= watermark {
             return 0;
         }
@@ -419,25 +476,26 @@ impl LiveUpdateBus {
     /// `(cursor, head, tail)` of replica `r` of shard `j` — what the
     /// supervisor reads to choose between replay and snapshot refresh.
     pub fn cursor_state(&self, j: usize, r: usize) -> (usize, usize, usize) {
-        let log = self.log.lock();
+        let log = self.log.state();
         (log.cursors[j][r], log.head(), log.tail())
     }
 
     /// Published updates so far (the absolute log tail; monotone across
-    /// compactions).
+    /// compactions). Counts a publish from the moment it is logged, i.e.
+    /// while its fan-out may still be in flight; never waits for one.
     pub fn log_len(&self) -> usize {
-        self.log.lock().tail()
+        self.log.state().tail()
     }
 
     /// The oldest absolute sequence still replayable.
     pub fn log_head(&self) -> usize {
-        self.log.lock().head()
+        self.log.state().head()
     }
 
     /// Entries currently held live (bounded by the supervisor's
     /// compaction watermark plus the in-flight window).
     pub fn log_live_len(&self) -> usize {
-        self.log.lock().live_len()
+        self.log.state().live_len()
     }
 }
 

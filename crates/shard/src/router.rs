@@ -183,7 +183,8 @@ impl ShardRouter {
     /// interpose on frames (pass `|_, _, t| Arc::new(t)` for none).
     ///
     /// All replicas of a shard start from one shared `Arc` of its indexed
-    /// graph; live updates copy-on-write per replica service.
+    /// graph; each replica service then installs its own versions, which
+    /// keep sharing every section its updates did not touch.
     pub fn with_replicas(
         set: ShardSet,
         config: ServiceConfig,
@@ -486,26 +487,10 @@ impl ShardRouter {
             return Err(invalid(QueryError::EmptyCategory(c1)));
         }
         let k = query.k;
-        // Bound and infeasibility reads below come from replica 0's
-        // snapshot, but the stream may be served by a sibling replica.
-        // If replica 0 deferred an apply (fault mid-publish, kill) its
-        // chain table lags the live world: a stale bound can exceed a
-        // stream's true head cost — inadmissible, corrupting the bounded
-        // merge — and a stale infeasibility claim can skip a shard that
-        // now has answers. Trust replica 0's tables only for shards whose
-        // cursor is caught up to the log tail.
-        let caught_up: Vec<bool> = {
-            let log = self.log.lock();
-            let tail = log.tail();
-            targets
-                .iter()
-                .map(|&j| log.cursors[j].first().is_some_and(|&c| c == tail))
-                .collect()
-        };
         let mut parts = Vec::with_capacity(targets.len());
         let mut bounds = Vec::with_capacity(targets.len());
         let mut skipped = Vec::new();
-        for (&j, &fresh) in targets.iter().zip(&caught_up) {
+        for &j in &targets {
             let mut q = query.clone();
             if let Some(c1) = q.categories.first_mut() {
                 *c1 = self.shadow(*c1);
@@ -521,9 +506,18 @@ impl ShardRouter {
             // racing live update serializes the query before it. Remote
             // shards (no local handle) and fleets running with
             // `use_bounds: false` take the unconditional path.
+            //
+            // The tables are replica 0's, but the stream may be served by
+            // a sibling. While replica 0 is behind the log tail — for the
+            // whole window of an in-flight publish, or deferred after a
+            // fault — its chain table may lag the world a sibling answers
+            // from: a stale bound can exceed a stream's true head cost
+            // (inadmissible, corrupting the bounded merge) and a stale
+            // infeasibility claim can skip a shard that now has answers.
+            // So both reads stand down until the cursor catches up.
             let mut bound = 0;
-            if let Some(svc) = self.local_shard_service(j).filter(|_| fresh) {
-                if svc.planner_config().use_bounds {
+            if let Some(svc) = self.local_shard_service(j) {
+                if svc.planner_config().use_bounds && self.log.caught_up(j) {
                     let sb = svc.indexed_graph().seq_bounds(&q);
                     if sb.infeasible() {
                         self.bound_skips.fetch_add(1, Ordering::Relaxed);
@@ -569,17 +563,18 @@ impl ShardRouter {
     /// the blob with [`ShardRouter::install_replica`] and recover through
     /// the bus to bring a cold replica into the fleet.
     ///
-    /// The cursor is captured *before* the pull and the log is **not**
-    /// held across the (potentially slow, network-bound) transfer, so
-    /// publishes proceed concurrently. That is safe because the invariant
-    /// runs one way only: a healthy replica has applied at least the
-    /// captured prefix, so the blob's state can only be *ahead* of the
+    /// The cursor is the log's *settled* tail (no publish in flight),
+    /// captured *before* the pull, and the log is **not** held across the
+    /// (potentially slow, network-bound) transfer, so publishes proceed
+    /// concurrently. That is safe because the invariant runs one way
+    /// only: a healthy replica has applied at least the captured prefix,
+    /// so the blob's state can only be *ahead* of the
     /// cursor — and [`LiveUpdateBus::recover`]'s replay is idempotent
     /// against already-contained updates (set-operation memberships;
     /// `WeightNotDecreased` edge inserts counted as applied), converging
     /// in log order regardless.
     pub fn snapshot_shard(&self, j: usize) -> Result<(usize, SnapshotBlob), ShardError> {
-        let cursor = self.log.lock().tail();
+        let cursor = self.log.settled_tail();
         let blob = self.shards[j]
             .call_with_failover(|t| t.snapshot())
             .map_err(ShardError::from)?;
@@ -598,9 +593,9 @@ impl ShardRouter {
         transport: Arc<dyn ShardTransport>,
         applied_through: usize,
     ) {
-        let mut inner = self.log.lock();
+        let _publishing = self.log.publisher();
         self.shards[j].install(r, transport);
-        inner.cursors[j][r] = applied_through;
+        self.log.state().cursors[j][r] = applied_through;
     }
 
     /// Per-shard service health snapshots (replica 0 of each shard; see

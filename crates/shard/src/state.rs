@@ -64,9 +64,25 @@ impl FanoutCache {
 /// replica has applied. A replica whose cursor is behind is inconsistent
 /// and must not serve; recovery replays the missing suffix.
 ///
-/// One mutex guards the whole structure **across** the apply calls of a
-/// publish/recover/snapshot, so cursors, log order and shipped snapshots
-/// can never interleave inconsistently.
+/// Two mutexes, two jobs:
+///
+/// * **publisher ordering** ([`UpdateLog::publisher`]) is held **across**
+///   the replica calls of a publish / recover / compact (and around the
+///   cursor writes of a refresh or a cold install), so log order, cursor
+///   advances and marking replicas healthy never interleave between two
+///   writers of the log;
+/// * **cursor/tail state** ([`UpdateLog::state`]) guards the data itself
+///   and is only ever held for a few loads and stores — never across a
+///   transport call — so the query path, `log_len` and the supervisor read
+///   it without waiting for a publish.
+///
+/// While a publish is in flight a reader therefore sees `cursor < tail`
+/// for every replica whose apply has not been accounted yet (the entry is
+/// pushed before the first replica call; cursors advance once the fan-out
+/// has returned). That is exactly the deferred-apply window the router's
+/// bound gating stands down for — see [`UpdateLog::caught_up`]. Lock order
+/// is publisher → state; the state lock is never held while taking the
+/// publisher's.
 ///
 /// The log is **compacting**: sequence numbers are absolute (the `seq`th
 /// publish keeps seq number `seq` forever), but the supervisor drops the
@@ -79,7 +95,8 @@ impl FanoutCache {
 /// but only for replicas the refresh path can still reach through a
 /// healthy sibling).
 pub(crate) struct UpdateLog {
-    inner: Mutex<LogInner>,
+    publishing: Mutex<()>,
+    state: Mutex<LogInner>,
 }
 
 pub(crate) struct LogInner {
@@ -123,13 +140,6 @@ impl LogInner {
         self.entries.pop();
     }
 
-    /// The entry at absolute sequence `seq`, if it is still live.
-    pub(crate) fn get(&self, seq: usize) -> Option<Update> {
-        seq.checked_sub(self.head)
-            .and_then(|i| self.entries.get(i))
-            .copied()
-    }
-
     /// The live entries from absolute sequence `from` (clamped to head).
     pub(crate) fn suffix(&self, from: usize) -> &[Update] {
         &self.entries[from.saturating_sub(self.head).min(self.entries.len())..]
@@ -151,7 +161,8 @@ impl LogInner {
 impl UpdateLog {
     pub(crate) fn new(replicas_per_shard: &[usize]) -> UpdateLog {
         UpdateLog {
-            inner: Mutex::new(LogInner {
+            publishing: Mutex::new(()),
+            state: Mutex::new(LogInner {
                 head: 0,
                 entries: Vec::new(),
                 cursors: replicas_per_shard.iter().map(|&n| vec![0; n]).collect(),
@@ -159,7 +170,33 @@ impl UpdateLog {
         }
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, LogInner> {
-        self.inner.lock().unwrap()
+    /// Enters the publisher critical section (see the type docs): hold
+    /// the guard across the replica calls whose cursor effects must not
+    /// interleave with another writer's.
+    pub(crate) fn publisher(&self) -> MutexGuard<'_, ()> {
+        self.publishing.lock().expect("update log poisoned")
+    }
+
+    /// The cursor/tail state. Short-held by contract: never keep the
+    /// guard across a transport call.
+    pub(crate) fn state(&self) -> MutexGuard<'_, LogInner> {
+        self.state.lock().expect("update log poisoned")
+    }
+
+    /// `true` when replica 0 of shard `j` has applied every logged update
+    /// — `false` for the whole window of an in-flight publish, and for as
+    /// long as the replica stays deferred afterwards.
+    pub(crate) fn caught_up(&self, j: usize) -> bool {
+        let state = self.state();
+        state.cursors[j].first().is_some_and(|&c| c == state.tail())
+    }
+
+    /// The tail once no publish is in flight: every healthy replica has
+    /// applied at least this prefix, which is what makes it a safe cursor
+    /// for a snapshot pulled from one of them afterwards. Waits for the
+    /// publisher section — control plane only.
+    pub(crate) fn settled_tail(&self) -> usize {
+        let _publishing = self.publisher();
+        self.state().tail()
     }
 }
