@@ -6,6 +6,11 @@
 //!   per request/response, no sockets (pure codec overhead).
 //! * `tcp_mux` — all 300 queries **in flight at once on one multiplexed
 //!   connection** (frame-id demux; no per-request threads, no pool).
+//! * `tcp_pipelined` — `tcp_mux` against a replica with its result cache
+//!   on: the same 300 in-flight queries, of which those mentioning one
+//!   category were just invalidated (misses, answered by a pool worker)
+//!   and the rest are hits (answered by the connection thread) — the mix
+//!   a replica behind a router actually sees.
 //! * `tcp_serial` — one request/response at a time on the same connection:
 //!   the old blocking-RPC latency model, as a floor for the mux win.
 //! * `tcp_pooled_8` — the pre-mux concurrency model reconstructed: 8
@@ -19,6 +24,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use kosr_core::{IndexedGraph, Query};
+use kosr_graph::CategoryId;
 use kosr_service::{KosrService, ServiceConfig};
 use kosr_transport::protocol::{decode_response, encode_response, RemoteResponse, Response};
 use kosr_transport::{InProcTransport, ShardTransport, TcpServer, TcpTransport, TransportTicket};
@@ -82,6 +88,23 @@ fn transport_roundtrip(c: &mut Criterion) {
         // with the mux, that is 300 interleaved in-flight requests on one
         // connection.
         b.iter(|| drain_transport(&transport, &queries));
+    });
+
+    group.bench_function("tcp_pipelined", |b| {
+        let service = Arc::new(KosrService::new(
+            Arc::clone(&ig),
+            ServiceConfig {
+                cache_capacity: 8192,
+                ..config()
+            },
+        ));
+        let server = TcpServer::spawn(Arc::clone(&service)).expect("bind loopback");
+        let transport = TcpTransport::connect(server.addr());
+        drain_transport(&transport, &queries); // fill the cache
+        b.iter(|| {
+            service.invalidate_category(CategoryId(0));
+            drain_transport(&transport, &queries);
+        });
     });
 
     group.bench_function("tcp_serial", |b| {

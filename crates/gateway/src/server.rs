@@ -1163,7 +1163,6 @@ impl Gateway {
         config: GatewayConfig,
     ) -> io::Result<Gateway> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(GatewayStats::default());
         let traces = Arc::new(TraceStore::new(config.trace_recent, config.trace_slow));
@@ -1197,8 +1196,12 @@ impl Gateway {
             .name(format!("kosr-gateway-{}", addr.port()))
             .spawn(move || {
                 let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-                while !flag.load(Ordering::Acquire) {
+                // A blocking accept: a client that connects per request
+                // is served at once. `shutdown` wakes it with a connection
+                // of its own, which is neither served nor counted.
+                loop {
                     match listener.accept() {
+                        Ok(_) if flag.load(Ordering::Acquire) => break,
                         Ok((stream, _)) => {
                             handlers.retain(|h| !h.is_finished());
                             if !edge.try_acquire_slot() {
@@ -1270,9 +1273,6 @@ impl Gateway {
                                 serve_connection(stream, edge, flag);
                             }));
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(2));
-                        }
                         Err(_) => break,
                     }
                 }
@@ -1317,6 +1317,8 @@ impl Gateway {
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept_handle.take() {
+            // Wake the blocked accept; the loop sees the flag first.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
     }
@@ -1380,6 +1382,21 @@ mod tests {
             r#"{{"source": {}, "target": {}, "categories": [{}, {}, {}], "k": {k}}}"#,
             fx.s.0, fx.t.0, fx.ma.0, fx.re.0, fx.ci.0
         )
+    }
+
+    #[test]
+    fn idle_shutdown_is_prompt_and_its_wake_connection_is_not_served() {
+        let (router, _switches, _fx) = fleet(1, 1);
+        let mut gw = spawn_gateway(&router);
+        let stats = Arc::clone(gw.stats());
+        // The accept loop is parked in `accept`: only shutdown's own
+        // connection can wake it, and the loop must not serve that one.
+        let started = Instant::now();
+        gw.shutdown();
+        assert!(started.elapsed() < Duration::from_millis(200));
+        assert_eq!(stats.connections_accepted(), 0);
+        assert_eq!(stats.connections_rejected(), 0);
+        assert_eq!(stats.requests(), 0);
     }
 
     #[test]

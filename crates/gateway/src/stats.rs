@@ -156,6 +156,11 @@ impl GatewayStats {
         self.requests[endpoint.slot()].load(Ordering::Relaxed)
     }
 
+    /// Connections admitted into the pool so far.
+    pub fn connections_accepted(&self) -> u64 {
+        self.connections_accepted.load(Ordering::Relaxed)
+    }
+
     /// Connections refused at the admission gate so far.
     pub fn connections_rejected(&self) -> u64 {
         self.connections_rejected.load(Ordering::Relaxed)
@@ -221,7 +226,7 @@ impl MetricsSource for GatewayStats {
             "kosr_gateway_connections_accepted_total",
             "Connections admitted into the bounded pool",
             &[],
-            self.connections_accepted.load(Ordering::Relaxed) as f64,
+            self.connections_accepted() as f64,
         );
         registry.counter(
             "kosr_gateway_connections_rejected_total",

@@ -81,7 +81,8 @@ pub struct QueryResponse {
     pub spans: Vec<Span>,
 }
 
-/// A pending response: redeem with [`Ticket::wait`].
+/// A pending response: redeem with [`Ticket::wait`]. The channel-backed
+/// special case of a completion (see [`KosrService::submit_with`]).
 #[must_use = "a ticket must be waited on to observe the query's result"]
 #[derive(Debug)]
 pub struct Ticket {
@@ -93,11 +94,29 @@ impl Ticket {
     pub fn wait(self) -> Result<QueryResponse, ServiceError> {
         self.rx.recv().unwrap_or(Err(ServiceError::WorkerLost))
     }
+}
 
-    fn immediate(result: Result<QueryResponse, ServiceError>) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let _ = tx.send(result);
-        Ticket { rx }
+type QueryResult = Result<QueryResponse, ServiceError>;
+
+/// What a resolved query is handed to: called exactly once, on the thread
+/// that resolved it. A completion dropped unresolved (its worker died
+/// mid-query) reports [`ServiceError::WorkerLost`], so a caller waiting on
+/// the other end always hears back.
+struct Completion(Option<Box<dyn FnOnce(QueryResult) + Send>>);
+
+impl Completion {
+    fn resolve(mut self, result: QueryResult) {
+        if let Some(done) = self.0.take() {
+            done(result);
+        }
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if let Some(done) = self.0.take() {
+            done(Err(ServiceError::WorkerLost));
+        }
     }
 }
 
@@ -165,7 +184,7 @@ struct Job {
     /// plus how long admission (validate + plan + cache probe) took, so
     /// the worker can attribute the queue wait separately.
     trace: Option<JobTrace>,
-    tx: mpsc::Sender<Result<QueryResponse, ServiceError>>,
+    done: Completion,
 }
 
 struct JobTrace {
@@ -335,11 +354,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn respond(
-        &self,
-        tx: &mpsc::Sender<Result<QueryResponse, ServiceError>>,
-        result: Result<QueryResponse, ServiceError>,
-    ) {
+    fn respond(&self, done: Completion, result: QueryResult) {
         match &result {
             Ok(resp) => {
                 self.completed.fetch_add(1, Ordering::Relaxed);
@@ -367,8 +382,7 @@ impl Shared {
             }
             Err(_) => {}
         }
-        // A dropped ticket just means the caller stopped listening.
-        let _ = tx.send(result);
+        done.resolve(result);
     }
 
     /// Snapshots the served index together with the epoch it belongs to.
@@ -402,7 +416,7 @@ impl Shared {
             .unwrap_or(0);
         if let Some(deadline) = job.plan.deadline {
             if job.submitted.elapsed() > deadline {
-                self.respond(&job.tx, Err(ServiceError::DeadlineExceeded { deadline }));
+                self.respond(job.done, Err(ServiceError::DeadlineExceeded { deadline }));
                 return;
             }
         }
@@ -429,7 +443,7 @@ impl Shared {
                     None => Vec::new(),
                 };
                 self.respond(
-                    &job.tx,
+                    job.done,
                     Ok(QueryResponse {
                         outcome,
                         plan: job.plan,
@@ -481,7 +495,7 @@ impl Shared {
             // offenders get a larger (clamped) budget.
             self.planner.observe_budget(true);
             self.respond(
-                &job.tx,
+                job.done,
                 Err(ServiceError::BudgetExhausted {
                     examined_budget: job.plan.examined_budget,
                 }),
@@ -526,7 +540,7 @@ impl Shared {
             None => Vec::new(),
         };
         self.respond(
-            &job.tx,
+            job.done,
             Ok(QueryResponse {
                 outcome,
                 plan: job.plan,
@@ -674,12 +688,49 @@ impl KosrService {
         query: Query,
         ctx: Option<TraceContext>,
     ) -> Result<Ticket, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        // A dropped ticket just means the caller stopped listening.
+        let done = move |result| drop(tx.send(result));
+        self.admit(query, ctx, done).map_err(|(e, _)| e)?;
+        Ok(Ticket { rx })
+    }
+
+    /// [`KosrService::submit_traced`] without the ticket: `on_done` is
+    /// called exactly once with the query's result — on the submitting
+    /// thread when the answer resolves at submission (a cache hit, a typed
+    /// rejection), on the worker that executed the query otherwise — so a
+    /// caller that only forwards the answer (a transport host writing a
+    /// response frame) needs no thread of its own parked on a ticket.
+    /// `on_done` can run on a pool worker: it must not block for long.
+    pub fn submit_with(
+        &self,
+        query: Query,
+        ctx: Option<TraceContext>,
+        on_done: impl FnOnce(Result<QueryResponse, ServiceError>) + Send + 'static,
+    ) {
+        if let Err((e, on_done)) = self.admit(query, ctx, on_done) {
+            on_done(Err(e));
+        }
+    }
+
+    /// Admission control, then the cache, then the queue. A cache hit
+    /// resolves `done` before returning; a typed rejection hands `done`
+    /// back uncalled, having consumed no worker time.
+    fn admit<F>(
+        &self,
+        query: Query,
+        ctx: Option<TraceContext>,
+        done: F,
+    ) -> Result<(), (ServiceError, F)>
+    where
+        F: FnOnce(QueryResult) + Send + 'static,
+    {
         let submitted = Instant::now();
         let trace = ctx.filter(|c| c.sampled);
         let ig = self.indexed_graph();
         if let Err(e) = query.validate(&ig.graph) {
             self.shared.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::InvalidQuery(e));
+            return Err((ServiceError::InvalidQuery(e), done));
         }
         let plan = self.shared.planner.plan(&ig, &query);
         let key = CacheKey::canonical(&query);
@@ -729,23 +780,22 @@ impl KosrService {
                 self.shared.completed.fetch_add(1, Ordering::Relaxed);
                 self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
                 self.shared.latency.record(resp.latency);
-                return Ok(Ticket::immediate(Ok(resp)));
+                done(Ok(resp));
+                return Ok(());
             }
         }
 
-        let (tx, rx) = mpsc::channel();
         {
             let mut q = self.shared.queue.lock().unwrap();
             if q.shutting_down {
-                return Err(ServiceError::ShuttingDown);
+                return Err((ServiceError::ShuttingDown, done));
             }
             if q.jobs.len() >= self.shared.queue_capacity {
                 self.shared
                     .rejected_queue_full
                     .fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::QueueFull {
-                    capacity: self.shared.queue_capacity,
-                });
+                let capacity = self.shared.queue_capacity;
+                return Err((ServiceError::QueueFull { capacity }, done));
             }
             q.jobs.push_back(Job {
                 query,
@@ -753,12 +803,12 @@ impl KosrService {
                 plan,
                 submitted,
                 trace: trace.map(|ctx| JobTrace { ctx, admission_us }),
-                tx,
+                done: Completion(Some(Box::new(done))),
             });
         }
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         self.shared.wake.notify_one();
-        Ok(Ticket { rx })
+        Ok(())
     }
 
     /// The replica tier's recent-span ring (sampled traces only), oldest
@@ -1111,6 +1161,30 @@ mod tests {
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn submit_with_completes_on_the_thread_that_resolved_the_query() {
+        let (svc, fx) = service(1, 64, 64);
+        let here = thread::current().id();
+        let (tx, rx) = mpsc::channel();
+        let report = |tx: mpsc::Sender<_>| move |r| tx.send((thread::current().id(), r)).unwrap();
+
+        // A miss is executed, and completed, by the pool worker.
+        svc.submit_with(fig1_query(&fx, 3), None, report(tx.clone()));
+        let (thread_id, resp) = rx.recv().unwrap();
+        assert_ne!(thread_id, here);
+        assert!(!resp.unwrap().cached);
+
+        // A hit and a typed rejection resolve before `submit_with` returns.
+        svc.submit_with(fig1_query(&fx, 3), None, report(tx.clone()));
+        let (thread_id, resp) = rx.try_recv().expect("resolved at submission");
+        assert_eq!(thread_id, here);
+        assert!(resp.unwrap().cached);
+        svc.submit_with(fig1_query(&fx, 0), None, report(tx));
+        let (thread_id, resp) = rx.try_recv().expect("resolved at submission");
+        assert_eq!(thread_id, here);
+        assert!(matches!(resp, Err(ServiceError::InvalidQuery(_))));
     }
 
     #[test]

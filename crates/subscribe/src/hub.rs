@@ -150,6 +150,10 @@ impl HubStats {
     }
 }
 
+/// Sessions whose recomputes one sweep keeps in flight at once: enough to
+/// hide the fleet round trip, small against a replica's submission queue.
+const SWEEP_WAVE: usize = 64;
+
 /// The continuous-query engine. Register it on the router with
 /// [`ShardRouter::register_update_observer`] so every bus publish flows
 /// through its filter.
@@ -379,59 +383,68 @@ impl SubscriptionHub {
         };
         let partition = router.partition();
         let mut delivered_something = false;
-        for id in targets {
-            let Some(sub) = table.get_mut(id) else {
-                continue;
-            };
-            match classify(sub, update, partition, engine.as_deref()) {
-                FilterDecision::Skip(cause) => self.count_skip(cause, 1),
-                FilterDecision::Wake(cause) => {
-                    match cause {
-                        WakeCause::Membership => &self.counters.wakeups_membership,
-                        WakeCause::Edge => &self.counters.wakeups_edge,
+        // Recomputes go out in waves: every woken session of a wave is
+        // submitted before any is waited on, so the sweep costs about one
+        // round trip to the fleet per wave, not one per session. Waiting,
+        // diffing and queueing then run in the same session order.
+        for wave in targets.chunks(SWEEP_WAVE) {
+            let mut woken = Vec::new();
+            for &id in wave {
+                let Some(sub) = table.get_mut(id) else {
+                    continue;
+                };
+                match classify(sub, update, partition, engine.as_deref()) {
+                    FilterDecision::Skip(cause) => self.count_skip(cause, 1),
+                    FilterDecision::Wake(cause) => {
+                        match cause {
+                            WakeCause::Membership => &self.counters.wakeups_membership,
+                            WakeCause::Edge => &self.counters.wakeups_edge,
+                        }
+                        .fetch_add(1, Ordering::Relaxed);
+                        self.counters.recomputes.fetch_add(1, Ordering::Relaxed);
+                        woken.push((id, router.submit(sub.query.clone())));
                     }
-                    .fetch_add(1, Ordering::Relaxed);
-                    self.counters.recomputes.fetch_add(1, Ordering::Relaxed);
-                    match Self::compute(&router, &sub.query) {
-                        Ok(resp) => {
-                            sub.signature.refresh_shards(resp.shards.clone());
-                            match Delta::diff(
-                                &sub.delivered,
-                                &resp.outcome.witnesses,
-                                receipt.epoch,
-                            ) {
-                                Some(delta) => {
-                                    sub.delivered = resp.outcome.witnesses;
-                                    sub.epoch = receipt.epoch;
-                                    sub.queue.push_back(delta);
-                                    if sub.queue.len() > self.config.queue_capacity {
-                                        sub.queue.clear();
-                                        sub.needs_resync = true;
-                                        self.counters.overflows.fetch_add(1, Ordering::Relaxed);
-                                        self.force_resync(id, "queue_overflow");
-                                    } else {
-                                        self.counters.deltas_pushed.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    delivered_something = true;
+                }
+            }
+            for (id, ticket) in woken {
+                let Some(sub) = table.get_mut(id) else {
+                    continue;
+                };
+                match ticket.and_then(|t| t.wait()) {
+                    Ok(resp) => {
+                        sub.signature.refresh_shards(resp.shards.clone());
+                        match Delta::diff(&sub.delivered, &resp.outcome.witnesses, receipt.epoch) {
+                            Some(delta) => {
+                                sub.delivered = resp.outcome.witnesses;
+                                sub.epoch = receipt.epoch;
+                                sub.queue.push_back(delta);
+                                if sub.queue.len() > self.config.queue_capacity {
+                                    sub.queue.clear();
+                                    sub.needs_resync = true;
+                                    self.counters.overflows.fetch_add(1, Ordering::Relaxed);
+                                    self.force_resync(id, "queue_overflow");
+                                } else {
+                                    self.counters.deltas_pushed.fetch_add(1, Ordering::Relaxed);
                                 }
-                                None => {
-                                    sub.epoch = receipt.epoch;
-                                    self.counters.empty_diffs.fetch_add(1, Ordering::Relaxed);
-                                }
+                                delivered_something = true;
+                            }
+                            None => {
+                                sub.epoch = receipt.epoch;
+                                self.counters.empty_diffs.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                        Err(_) => {
-                            // Can't prove anything about the new top-k:
-                            // poison the queue and let poll resync once
-                            // the fleet is reachable again.
-                            sub.queue.clear();
-                            sub.needs_resync = true;
-                            self.counters
-                                .recompute_failures
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.force_resync(id, "recompute_failed");
-                            delivered_something = true;
-                        }
+                    }
+                    Err(_) => {
+                        // Can't prove anything about the new top-k:
+                        // poison the queue and let poll resync once
+                        // the fleet is reachable again.
+                        sub.queue.clear();
+                        sub.needs_resync = true;
+                        self.counters
+                            .recompute_failures
+                            .fetch_add(1, Ordering::Relaxed);
+                        self.force_resync(id, "recompute_failed");
+                        delivered_something = true;
                     }
                 }
             }

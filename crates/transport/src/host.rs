@@ -1,6 +1,8 @@
 //! Server-side dispatch: one function mapping a decoded [`Request`] onto a
-//! [`KosrService`], shared by the TCP server and the in-process loopback so
-//! both speak byte-for-byte the same protocol.
+//! [`KosrService`] and blocking for its [`Response`], shared by the
+//! in-process loopback and the TCP server (for every kind but queries,
+//! which the TCP server completes without a waiting thread) so both speak
+//! byte-for-byte the same protocol.
 
 use std::sync::Arc;
 
@@ -10,20 +12,17 @@ use kosr_service::KosrService;
 use crate::protocol::{Heartbeat, MemberCounts, RemoteResponse, Request, Response, SnapshotBlob};
 
 /// Answers one request against `service`. Query requests block until the
-/// service responds (the caller decides how to overlap requests — the TCP
-/// server runs one handler thread per in-flight request, the in-process
-/// transport keeps the service's own ticket asynchrony).
+/// service responds, so callers that overlap queries go around this arm:
+/// the in-process transport keeps the service's own ticket asynchrony, the
+/// TCP server hands the service a completion that writes the response
+/// frame (`KosrService::submit_with`).
 pub fn handle_request(service: &Arc<KosrService>, req: Request) -> Response {
     let query = |q, ctx| {
         Response::Query(
             service
                 .submit_traced(q, ctx)
                 .and_then(|t| t.wait())
-                .map(|resp| RemoteResponse {
-                    outcome: resp.outcome,
-                    cached: resp.cached,
-                    spans: resp.spans,
-                }),
+                .map(RemoteResponse::from),
         )
     };
     match req {

@@ -204,11 +204,7 @@ impl ShardTransport for InProcTransport {
         let pending = self.service.submit_traced(decoded, ctx);
         let killed = Arc::clone(&self.killed);
         TransportTicket::new(move || {
-            let result = pending.and_then(|t| t.wait()).map(|resp| RemoteResponse {
-                outcome: resp.outcome,
-                cached: resp.cached,
-                spans: resp.spans,
-            });
+            let result = pending.and_then(|t| t.wait()).map(RemoteResponse::from);
             if killed.load(Ordering::Acquire) {
                 // The connection died before the response frame arrived.
                 return Err(killed_error());

@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`protocol`] | the frames: queries, §IV-C updates, heartbeats, member counts, snapshots |
 //! | [`InProcTransport`] | loopback through the full encode/decode path, plus a kill switch for fault tests |
-//! | [`TcpTransport`] / [`TcpServer`] | each replica behind a socket, a pooled blocking client in front |
+//! | [`TcpTransport`] / [`TcpServer`] | each replica behind a socket, one multiplexed connection in front: frames written by whoever has them ready, no thread per request |
 //! | [`ReplicaSet`] | N replicas per shard: health state, heartbeats, retry-on-next-replica failover |
 //!
 //! ## Consistency model

@@ -56,8 +56,8 @@ use kosr_core::{GraphUpdateError, KosrOutcome, Query, QueryError, QueryStats, Wi
 use kosr_graph::{CategoryId, VertexId};
 use kosr_index::snapshot::SnapshotError;
 use kosr_service::{
-    Event, EventKind, ServiceError, Severity, Source, Span, SpanId, TagValue, TraceContext,
-    TraceId, Update, UpdateError, UpdateReceipt,
+    Event, EventKind, QueryResponse, ServiceError, Severity, Source, Span, SpanId, TagValue,
+    TraceContext, TraceId, Update, UpdateError, UpdateReceipt,
 };
 
 /// The one wire version this build writes and accepts, stamped on every
@@ -150,6 +150,18 @@ pub struct RemoteResponse {
     pub spans: Vec<Span>,
 }
 
+impl From<QueryResponse> for RemoteResponse {
+    /// What of a service's answer crosses the wire (the plan and the
+    /// replica-side latency stay behind).
+    fn from(resp: QueryResponse) -> RemoteResponse {
+        RemoteResponse {
+            outcome: resp.outcome,
+            cached: resp.cached,
+            spans: resp.spans,
+        }
+    }
+}
+
 /// Client → replica messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
@@ -237,23 +249,36 @@ pub enum Response {
 
 // ---- framing ---------------------------------------------------------
 
-/// Writes one length-prefixed frame. Payloads over [`MAX_FRAME_LEN`] are
-/// refused *before* any bytes hit the wire: writing one would desync the
-/// stream (the `u32` prefix truncates past 4 GiB) and the peer would
-/// reject it as a connection-level fault anyway — better a local typed
-/// error than a remote one that downs the replica.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
+/// Bytes of the little-endian `u32` length prefix.
+const PREFIX_LEN: usize = 4;
+
+/// Writes one whole frame — length prefix and payload already in one
+/// buffer, as [`encode_request_frame`] / [`encode_response_frame`] leave
+/// them — with a single `write`, so under `TCP_NODELAY` a small frame is
+/// one segment. Payloads over [`MAX_FRAME_LEN`] are refused *before* any
+/// bytes hit the wire: writing one would desync the stream (the `u32`
+/// prefix truncates past 4 GiB) and the peer would reject it as a
+/// connection-level fault anyway — better a local typed error than a
+/// remote one that downs the replica.
+pub fn write_encoded_frame(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
+    let len = frame.len().saturating_sub(PREFIX_LEN);
+    if len > MAX_FRAME_LEN {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            ProtocolError::FrameTooLarge {
-                len: payload.len() as u64,
-            },
+            ProtocolError::FrameTooLarge { len: len as u64 },
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(frame)?;
     w.flush()
+}
+
+/// Writes `payload` as one length-prefixed frame (one `write`, see
+/// [`write_encoded_frame`]).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(PREFIX_LEN + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    write_encoded_frame(w, &frame)
 }
 
 /// Reads one length-prefixed frame. `Ok(None)` on clean EOF at a frame
@@ -931,10 +956,21 @@ const KIND_RESP_INSTALL_ERR: u8 = 27;
 /// Bytes of the fixed `version | kind | frame_id` header.
 const HEADER_LEN: usize = 10;
 
-fn header(kind: u8, frame_id: u64) -> Vec<u8> {
-    let mut out = vec![PROTOCOL_VERSION, kind];
+fn put_header(kind: u8, frame_id: u64, out: &mut Vec<u8>) {
+    out.put_u8(PROTOCOL_VERSION);
+    out.put_u8(kind);
     out.put_u64_le(frame_id);
-    out
+}
+
+/// Runs `put_payload` into `out` (cleared first) behind a length prefix:
+/// the whole frame in one buffer, the shape [`write_encoded_frame`] takes.
+fn encode_frame(out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0; PREFIX_LEN]);
+    put_payload(out);
+    // A length past `u32` truncates here and is refused at the write.
+    let len = (out.len() - PREFIX_LEN) as u32;
+    out[..PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 fn open(payload: &[u8]) -> Result<(u8, u64, Rd<'_>), ProtocolError> {
@@ -972,31 +1008,28 @@ fn get_blob(r: &mut Rd) -> Result<SnapshotBlob, ProtocolError> {
     Ok(SnapshotBlob { epoch, bytes })
 }
 
-fn put_query_frame(frame_id: u64, q: &Query, ctx: Option<&TraceContext>) -> Vec<u8> {
-    let mut out = header(KIND_REQ_QUERY, frame_id);
-    put_query(q, &mut out);
+fn put_query_frame(frame_id: u64, q: &Query, ctx: Option<&TraceContext>, out: &mut Vec<u8>) {
+    put_header(KIND_REQ_QUERY, frame_id, out);
+    put_query(q, out);
     match ctx {
         Some(ctx) => {
             out.put_u8(1);
-            put_trace_ctx(ctx, &mut out);
+            put_trace_ctx(ctx, out);
         }
         None => out.put_u8(0),
     }
-    out
 }
 
-/// Serializes a request into a frame payload stamped with `frame_id`.
-pub fn encode_request(frame_id: u64, req: &Request) -> Vec<u8> {
+fn put_request(frame_id: u64, req: &Request, out: &mut Vec<u8>) {
     match req {
-        Request::Query(q) => put_query_frame(frame_id, q, None),
-        Request::QueryTraced(q, ctx) => put_query_frame(frame_id, q, Some(ctx)),
+        Request::Query(q) => put_query_frame(frame_id, q, None, out),
+        Request::QueryTraced(q, ctx) => put_query_frame(frame_id, q, Some(ctx), out),
         Request::Update(u) => {
-            let mut out = header(KIND_REQ_UPDATE, frame_id);
-            put_update(u, &mut out);
-            out
+            put_header(KIND_REQ_UPDATE, frame_id, out);
+            put_update(u, out);
         }
         Request::Ping { since_seq } => {
-            let mut out = header(KIND_REQ_PING, frame_id);
+            put_header(KIND_REQ_PING, frame_id, out);
             match since_seq {
                 Some(seq) => {
                     out.put_u8(1);
@@ -1004,21 +1037,32 @@ pub fn encode_request(frame_id: u64, req: &Request) -> Vec<u8> {
                 }
                 None => out.put_u8(0),
             }
-            out
         }
-        Request::MemberCounts => header(KIND_REQ_MEMBER_COUNTS, frame_id),
-        Request::Snapshot => header(KIND_REQ_SNAPSHOT, frame_id),
+        Request::MemberCounts => put_header(KIND_REQ_MEMBER_COUNTS, frame_id, out),
+        Request::Snapshot => put_header(KIND_REQ_SNAPSHOT, frame_id, out),
         Request::Compact { through } => {
-            let mut out = header(KIND_REQ_COMPACT, frame_id);
+            put_header(KIND_REQ_COMPACT, frame_id, out);
             out.put_u64_le(*through);
-            out
         }
         Request::InstallSnapshot(blob) => {
-            let mut out = header(KIND_REQ_INSTALL, frame_id);
-            put_blob(blob, &mut out);
-            out
+            put_header(KIND_REQ_INSTALL, frame_id, out);
+            put_blob(blob, out);
         }
     }
+}
+
+/// Serializes a request into a frame payload stamped with `frame_id`.
+pub fn encode_request(frame_id: u64, req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_request(frame_id, req, &mut out);
+    out
+}
+
+/// Serializes a request as a whole frame — length prefix, then the payload
+/// [`encode_request`] produces — into `out`, replacing its contents: the
+/// one buffer [`write_encoded_frame`] sends, reusable across frames.
+pub fn encode_request_frame(frame_id: u64, req: &Request, out: &mut Vec<u8>) {
+    encode_frame(out, |out| put_request(frame_id, req, out));
 }
 
 /// Decodes a frame payload into `(frame_id, request)`. Total: never
@@ -1052,87 +1096,86 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
     Ok((frame_id, req))
 }
 
-/// Serializes a response into a frame payload stamped with `frame_id`
-/// (the id of the request it answers).
-pub fn encode_response(frame_id: u64, resp: &Response) -> Vec<u8> {
+fn put_response(frame_id: u64, resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::Query(Ok(rr)) => {
-            let mut out = header(KIND_RESP_QUERY_OK, frame_id);
+            put_header(KIND_RESP_QUERY_OK, frame_id, out);
             out.put_u8(rr.cached as u8);
-            put_outcome(&rr.outcome, &mut out);
-            put_spans(&rr.spans, &mut out);
-            out
+            put_outcome(&rr.outcome, out);
+            put_spans(&rr.spans, out);
         }
         Response::Query(Err(e)) => {
-            let mut out = header(KIND_RESP_QUERY_ERR, frame_id);
-            put_service_error(e, &mut out);
-            out
+            put_header(KIND_RESP_QUERY_ERR, frame_id, out);
+            put_service_error(e, out);
         }
         Response::Update(Ok(receipt)) => {
-            let mut out = header(KIND_RESP_UPDATE_OK, frame_id);
+            put_header(KIND_RESP_UPDATE_OK, frame_id, out);
             out.put_u8(receipt.applied as u8);
             out.put_u64_le(receipt.label_entries_added as u64);
             out.put_u64_le(receipt.invalidated as u64);
-            out
         }
         Response::Update(Err(e)) => {
-            let mut out = header(KIND_RESP_UPDATE_ERR, frame_id);
-            put_update_error(e, &mut out);
-            out
+            put_header(KIND_RESP_UPDATE_ERR, frame_id, out);
+            put_update_error(e, out);
         }
         Response::Pong {
             heartbeat,
             next_seq,
             events,
         } => {
-            let mut out = header(KIND_RESP_PONG, frame_id);
+            put_header(KIND_RESP_PONG, frame_id, out);
             out.put_u64_le(heartbeat.epoch);
             out.put_u64_le(*next_seq);
-            put_events(events, &mut out);
-            out
+            put_events(events, out);
         }
         Response::MemberCounts(mc) => {
-            let mut out = header(KIND_RESP_MEMBER_COUNTS, frame_id);
+            put_header(KIND_RESP_MEMBER_COUNTS, frame_id, out);
             out.put_u64_le(mc.epoch);
             out.put_u32_le(mc.num_vertices);
             out.put_u32_le(mc.counts.len() as u32);
             for &c in &mc.counts {
                 out.put_u32_le(c);
             }
-            out
         }
         Response::Snapshot(blob) => {
-            let mut out = header(KIND_RESP_SNAPSHOT, frame_id);
-            put_blob(blob, &mut out);
-            out
+            put_header(KIND_RESP_SNAPSHOT, frame_id, out);
+            put_blob(blob, out);
         }
         Response::Compacted { head } => {
-            let mut out = header(KIND_RESP_COMPACTED, frame_id);
+            put_header(KIND_RESP_COMPACTED, frame_id, out);
             out.put_u64_le(*head);
-            out
         }
         Response::CursorTooOld { cursor, head } => {
-            let mut out = header(KIND_RESP_CURSOR_TOO_OLD, frame_id);
+            put_header(KIND_RESP_CURSOR_TOO_OLD, frame_id, out);
             out.put_u64_le(*cursor);
             out.put_u64_le(*head);
-            out
         }
         Response::Install(Ok(hb)) => {
-            let mut out = header(KIND_RESP_INSTALL_OK, frame_id);
+            put_header(KIND_RESP_INSTALL_OK, frame_id, out);
             out.put_u64_le(hb.epoch);
-            out
         }
         Response::Install(Err(e)) => {
-            let mut out = header(KIND_RESP_INSTALL_ERR, frame_id);
-            put_snapshot_error(e, &mut out);
-            out
+            put_header(KIND_RESP_INSTALL_ERR, frame_id, out);
+            put_snapshot_error(e, out);
         }
         Response::Fault(e) => {
-            let mut out = header(KIND_RESP_FAULT, frame_id);
-            put_protocol_error(e, &mut out);
-            out
+            put_header(KIND_RESP_FAULT, frame_id, out);
+            put_protocol_error(e, out);
         }
     }
+}
+
+/// Serializes a response into a frame payload stamped with `frame_id`
+/// (the id of the request it answers).
+pub fn encode_response(frame_id: u64, resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_response(frame_id, resp, &mut out);
+    out
+}
+
+/// [`encode_request_frame`] for a response.
+pub fn encode_response_frame(frame_id: u64, resp: &Response, out: &mut Vec<u8>) {
+    encode_frame(out, |out| put_response(frame_id, resp, out));
 }
 
 /// Decodes a frame payload into `(frame_id, response)`. Total: never
@@ -1631,6 +1674,38 @@ mod tests {
         let mut cursor = &huge[..];
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_both_encoders_agree_on_its_bytes() {
+        /// Records the size of every `write` it is handed.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = encode_request(7, &PING);
+        let mut writes = Writes(Vec::new());
+        write_frame(&mut writes, &payload).unwrap();
+        assert_eq!(writes.0, vec![4 + payload.len()]);
+
+        // The in-place encoders produce exactly the bytes `write_frame`
+        // puts on the wire, and reuse (replace) the buffer they are given.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut frame = vec![0xAA; 64];
+        encode_request_frame(7, &PING, &mut frame);
+        assert_eq!(frame, wire);
+        let resp = Response::Compacted { head: 3 };
+        wire.clear();
+        write_frame(&mut wire, &encode_response(7, &resp)).unwrap();
+        encode_response_frame(7, &resp, &mut frame);
+        assert_eq!(frame, wire);
     }
 
     #[test]

@@ -1,24 +1,36 @@
 //! The socket transport, **multiplexed**: one connection carries any
 //! number of in-flight requests, each stamped with a monotone frame id.
+//! No thread is created and no queue crossed that the work does not need:
+//! a frame is encoded into one buffer and written with one `write` by
+//! whichever thread has it ready.
 //!
-//! Client side, a [`TcpTransport`] owns (at most) one live connection: a
-//! **writer thread** drains a frame queue onto the socket and a **reader
-//! thread** demultiplexes response frames into per-request completion
-//! slots ([`crate::mux::DemuxTable`]). Every request carries a deadline,
-//! so a wedged replica turns into a per-request connection *fault* (and a
+//! Client side, a [`TcpTransport`] owns (at most) one live connection.
+//! A request registers a completion slot ([`crate::mux::DemuxTable`]) and
+//! is written by its submitter under the connection's writer lock; a
+//! **reader thread** demultiplexes response frames into the slots. Every
+//! request carries a deadline — also the socket's write timeout — so a
+//! wedged replica turns into a per-request connection *fault* (and a
 //! failover upstream) without stalling unrelated in-flight queries on the
-//! same connection. A dead connection fails every pending slot; the next
-//! request re-dials.
+//! same connection, and a peer that stops reading into a dead connection.
+//! A dead connection fails every pending slot; the next request re-dials.
 //!
-//! Server side, a [`TcpServer`] reads frames per connection and answers
-//! each request on its own handler thread behind a shared writer lock, so
-//! responses interleave in completion order — a slow query does not block
-//! a heartbeat that arrived after it.
+//! Server side, a [`TcpServer`] runs one thread per connection that
+//! decodes and dispatches. A query is handed to the service with a
+//! completion that writes the response frame under the connection's
+//! writer lock: a cache hit (or a typed rejection) is answered by the
+//! connection thread itself, a miss by the pool worker that executed it,
+//! so responses leave in completion order and a slow query never holds up
+//! a later one. Heartbeats, member counts and compaction notices take
+//! microseconds and are answered inline; updates and snapshot pulls and
+//! pushes take milliseconds and get a handler thread each, so none of
+//! them convoys the frames behind it. A peer that stops reading its
+//! responses has its connection closed once a `write` has stalled for
+//! two seconds, instead of parking a pool worker in it.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -32,8 +44,9 @@ use crate::inproc::{
 };
 use crate::mux::DemuxTable;
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response, peek_frame_id, read_frame,
-    write_frame, Heartbeat, MemberCounts, Request, Response, SnapshotBlob,
+    decode_request, decode_response, encode_request_frame, encode_response_frame, peek_frame_id,
+    read_frame, write_encoded_frame, Heartbeat, MemberCounts, RemoteResponse, Request, Response,
+    SnapshotBlob, MAX_FRAME_LEN,
 };
 use crate::{ShardTransport, TransportError, TransportTicket};
 
@@ -45,11 +58,50 @@ const POLL: Duration = Duration::from_millis(25);
 /// (and a failover) instead of a hang.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
+/// How long a server-side `write` may make no progress before the peer
+/// counts as gone. Responses are written by pool workers, so a client that
+/// stopped reading must cost the pool a bounded wait, not a worker.
+const WRITE_STALL: Duration = Duration::from_secs(2);
+
+/// Buffer capacity a connection keeps between frames; a snapshot-sized
+/// frame's allocation is released once it is through.
+const KEPT_BUFFER: usize = 64 << 10;
+
+/// A socket's write half and the buffer its frames are encoded into.
+/// Whoever holds it encodes one frame and sends it with one `write`.
+struct FrameWriter {
+    stream: TcpStream,
+    frame: Vec<u8>,
+}
+
+impl FrameWriter {
+    fn new(stream: TcpStream) -> Mutex<FrameWriter> {
+        Mutex::new(FrameWriter {
+            stream,
+            frame: Vec::new(),
+        })
+    }
+
+    /// Encodes a frame with `encode` and writes it. A failed or timed-out
+    /// write may have torn the frame, so it shuts the socket down: the
+    /// connection's reading side sees it end, later writers fail at once.
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        encode(&mut self.frame);
+        let written = write_encoded_frame(&mut self.stream, &self.frame);
+        if written.is_err() {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        self.frame.clear();
+        self.frame.shrink_to(KEPT_BUFFER);
+        written
+    }
+}
+
 /// Reads exactly `buf.len()` bytes, riding out read timeouts (checking the
 /// shutdown flag between chunks) without ever losing partially read bytes.
 /// `Ok(false)` on clean EOF before the first byte.
 fn read_exact_polled(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shutdown: &AtomicBool,
 ) -> std::io::Result<bool> {
@@ -85,71 +137,116 @@ fn read_exact_polled(
     Ok(true)
 }
 
-fn serve_connection(mut stream: TcpStream, service: Arc<KosrService>, shutdown: Arc<AtomicBool>) {
+/// Reads the next frame's payload into `payload`, the connection's one
+/// read buffer. `false` when the connection is over: clean EOF, peer
+/// reset, shutdown, or a length prefix that desynced the framing.
+fn next_frame(stream: &mut impl Read, payload: &mut Vec<u8>, shutdown: &AtomicBool) -> bool {
+    payload.clear();
+    payload.shrink_to(KEPT_BUFFER);
+    let mut len = [0u8; 4];
+    if !matches!(read_exact_polled(stream, &mut len, shutdown), Ok(true)) {
+        return false;
+    }
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME_LEN {
+        return false;
+    }
+    payload.resize(len, 0);
+    matches!(read_exact_polled(stream, payload, shutdown), Ok(true))
+}
+
+/// Writes `resp` as the answer to frame `id`. A write failure means the
+/// peer is gone (or stopped reading): the writer has closed the socket and
+/// the connection's read loop ends on its next read.
+fn respond(writer: &Mutex<FrameWriter>, id: u64, resp: &Response) {
+    // A writer that panicked mid-frame left the stream torn: nothing more
+    // can be said on it.
+    if let Ok(mut writer) = writer.lock() {
+        let _ = writer.send(|frame| encode_response_frame(id, resp, frame));
+    }
+}
+
+fn serve_connection(stream: TcpStream, service: Arc<KosrService>, shutdown: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
-    // Responses are written by per-request handler threads in completion
+    let _ = stream.set_write_timeout(Some(WRITE_STALL));
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    // A burst of pipelined request frames is one `read`.
+    let mut reader = BufReader::new(read_half);
+    // Responses are written by whoever finished the work, in completion
     // order; the mutex keeps frames whole, the frame ids keep them
     // routable.
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
+    let writer = Arc::new(FrameWriter::new(stream));
+    let mut payload = Vec::new();
     let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        let mut len = [0u8; 4];
-        match read_exact_polled(&mut stream, &mut len, &shutdown) {
-            Ok(true) => {}
-            _ => break, // clean EOF, peer reset, or shutdown
-        }
-        let len = u32::from_le_bytes(len) as usize;
-        if len > crate::protocol::MAX_FRAME_LEN {
-            break; // length framing desynced: the connection is untrusted
-        }
-        let mut payload = vec![0u8; len];
-        if !matches!(
-            read_exact_polled(&mut stream, &mut payload, &shutdown),
-            Ok(true)
-        ) {
-            break;
-        }
-        match decode_request(&payload) {
-            Ok((id, req)) => {
-                // One handler thread per in-flight request: responses
-                // overtake each other freely, so a slow query never
-                // convoys a heartbeat behind it.
-                handlers.retain(|h| !h.is_finished());
-                let service = Arc::clone(&service);
-                let writer = Arc::clone(&writer);
-                handlers.push(thread::spawn(move || {
-                    let resp = handle_request(&service, req);
-                    let frame = encode_response(id, &resp);
-                    // A write failure means the peer is gone; the reader
-                    // loop will notice on its next read.
-                    let _ = write_frame(&mut *writer.lock().unwrap(), &frame);
-                }));
-            }
+    while !shutdown.load(Ordering::Acquire) && next_frame(&mut reader, &mut payload, &shutdown) {
+        let (id, req) = match decode_request(&payload) {
+            Ok(decoded) => decoded,
             Err(e) => {
                 // The length framing is still intact (the payload was a
                 // whole frame), so a typed fault keeps the connection —
                 // and every unrelated in-flight request — alive. Address
                 // it with the frame id when the header yielded one.
                 let id = peek_frame_id(&payload).unwrap_or(0);
-                let frame = encode_response(id, &Response::Fault(e));
-                if write_frame(&mut *writer.lock().unwrap(), &frame).is_err() {
-                    break;
-                }
+                respond(&writer, id, &Response::Fault(e));
+                continue;
+            }
+        };
+        match req {
+            Request::Query(q) => submit_query(&service, &writer, id, q, None),
+            Request::QueryTraced(q, ctx) => submit_query(&service, &writer, id, q, Some(ctx)),
+            Request::Ping { .. } | Request::MemberCounts | Request::Compact { .. } => {
+                respond(&writer, id, &handle_request(&service, req));
+            }
+            // Milliseconds of work: on a thread of its own, so the frames
+            // behind it — a heartbeat, a query — are not held up.
+            Request::Update(_) | Request::Snapshot | Request::InstallSnapshot(_) => {
+                handlers.retain(|h| !h.is_finished());
+                let service = Arc::clone(&service);
+                let writer = Arc::clone(&writer);
+                handlers.push(thread::spawn(move || {
+                    respond(&writer, id, &handle_request(&service, req));
+                }));
             }
         }
     }
     for h in handlers {
         let _ = h.join();
     }
+    if shutdown.load(Ordering::Acquire) {
+        // A killed replica's clients see their connection end now, not
+        // when the last query still in the pool has dropped its writer.
+        if let Ok(writer) = writer.lock() {
+            let _ = writer.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Hands a query to the service with a completion that writes the response
+/// frame: no thread waits on a ticket. The completion runs here for a
+/// cache hit or a typed rejection, on the pool worker for a miss.
+fn submit_query(
+    service: &KosrService,
+    writer: &Arc<Mutex<FrameWriter>>,
+    id: u64,
+    query: Query,
+    ctx: Option<TraceContext>,
+) {
+    let writer = Arc::clone(writer);
+    service.submit_with(query, ctx, move |result| {
+        respond(
+            &writer,
+            id,
+            &Response::Query(result.map(RemoteResponse::from)),
+        );
+    });
 }
 
 /// One shard replica served over a loopback TCP socket.
 ///
-/// Dropping the server shuts it down: the accept loop stops, handler
+/// Dropping the server shuts it down: the accept loop stops, connection
 /// threads drain, and every client sees its connection close.
 pub struct TcpServer {
     addr: SocketAddr,
@@ -162,7 +259,6 @@ impl TcpServer {
     /// `service`.
     pub fn spawn(service: Arc<KosrService>) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
@@ -170,23 +266,20 @@ impl TcpServer {
             .name(format!("kosr-tcp-{}", addr.port()))
             .spawn(move || {
                 let mut handlers = Vec::new();
-                while !flag.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Reap finished handlers so connection churn
-                            // doesn't grow the handle list unboundedly.
-                            handlers.retain(|h: &thread::JoinHandle<()>| !h.is_finished());
-                            let service = Arc::clone(&service);
-                            let flag = Arc::clone(&flag);
-                            handlers.push(thread::spawn(move || {
-                                serve_connection(stream, service, flag)
-                            }));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
+                // A blocking accept: a new connection is served at once.
+                // `shutdown` wakes it with a connection of its own.
+                while let Ok((stream, _)) = listener.accept() {
+                    if flag.load(Ordering::Acquire) {
+                        break;
                     }
+                    // Reap finished handlers so connection churn
+                    // doesn't grow the handle list unboundedly.
+                    handlers.retain(|h: &thread::JoinHandle<()>| !h.is_finished());
+                    let service = Arc::clone(&service);
+                    let flag = Arc::clone(&flag);
+                    handlers.push(thread::spawn(move || {
+                        serve_connection(stream, service, flag)
+                    }));
                 }
                 for h in handlers {
                     let _ = h.join();
@@ -205,12 +298,15 @@ impl TcpServer {
         self.addr
     }
 
-    /// Stops the server: new connections are refused, existing handler
+    /// Stops the server: new connections are refused, existing connection
     /// threads exit at their next poll, clients see connection faults —
     /// the "replica killed" event of the failover model.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept_handle.take() {
+            // Wake the blocked accept; the loop sees the flag before it
+            // would serve this connection.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
     }
@@ -222,9 +318,9 @@ impl Drop for TcpServer {
     }
 }
 
-/// One live multiplexed connection: writer thread + demux reader thread.
+/// One live multiplexed connection: its writer lock + demux reader thread.
 struct MuxConn {
-    frames: mpsc::Sender<Vec<u8>>,
+    writer: Mutex<FrameWriter>,
     table: Arc<DemuxTable>,
     next_id: AtomicU64,
 }
@@ -234,30 +330,13 @@ impl MuxConn {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         // A peer that stops *reading* (stalled process, full receive
-        // buffer) must not park the writer thread forever while the frame
-        // queue grows: a timed-out write is a connection fault that tears
-        // the mux down, and the next request re-dials.
+        // buffer) must not park a submitter forever: a timed-out write is
+        // a connection fault that tears the mux down, and the next request
+        // re-dials.
         let _ = stream.set_write_timeout(Some(deadline.max(Duration::from_millis(1))));
-        let mut read_half = stream.try_clone()?;
+        // A burst of response frames is one `read`.
+        let mut read_half = BufReader::new(stream.try_clone()?);
         let table = Arc::new(DemuxTable::new());
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-
-        let write_table = Arc::clone(&table);
-        thread::Builder::new()
-            .name("kosr-mux-writer".into())
-            .spawn(move || {
-                let mut stream = stream;
-                while let Ok(frame) = rx.recv() {
-                    if let Err(e) = write_frame(&mut stream, &frame) {
-                        write_table.fail_all(conn_err(e));
-                        return;
-                    }
-                }
-                // The owning transport dropped the sender: close the write
-                // half so the server sees a clean EOF.
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            })
-            .expect("spawn mux writer");
 
         let read_table = Arc::clone(&table);
         thread::Builder::new()
@@ -293,7 +372,7 @@ impl MuxConn {
             .expect("spawn mux reader");
 
         Ok(Arc::new(MuxConn {
-            frames: tx,
+            writer: FrameWriter::new(stream),
             table,
             next_id: AtomicU64::new(1),
         }))
@@ -303,15 +382,34 @@ impl MuxConn {
         !self.table.is_dead()
     }
 
-    /// Registers a slot, enqueues the request frame, returns the
-    /// completion. Never blocks on the socket.
+    /// Registers a slot, writes the request frame, returns the
+    /// completion. Blocks on the socket only while the peer is not
+    /// reading, and then for at most the request deadline.
     fn send(&self, req: &Request) -> crate::mux::Completion {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let completion = self.table.register(id);
-        // A send failure means the writer died; fail_all has run (or is
-        // about to), which resolves this completion through its slot.
-        let _ = self.frames.send(encode_request(id, req));
+        let sent = self
+            .writer
+            .lock()
+            .expect("mux writer poisoned")
+            .send(|frame| encode_request_frame(id, req, frame));
+        if let Err(e) = sent {
+            // The connection is dead (the writer has shut the socket
+            // down, which also ends the reader): fail this slot and every
+            // other one.
+            self.table.fail_all(conn_err(e));
+        }
         completion
+    }
+}
+
+impl Drop for MuxConn {
+    fn drop(&mut self) {
+        // The owning transport is gone: close the socket so the server
+        // sees a clean EOF and the reader thread exits.
+        if let Ok(writer) = self.writer.get_mut() {
+            let _ = writer.stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -557,6 +655,18 @@ mod tests {
         // The cursor advances past the drain: nothing is re-delivered.
         let (_, _, again) = client.ping_events(next).unwrap();
         assert!(again.is_empty());
+    }
+
+    #[test]
+    fn idle_server_shuts_down_promptly() {
+        // Parked in `accept` with one idle connection open: shutdown wakes
+        // the accept loop itself, and the connection thread at its poll.
+        let (mut server, client, _fx) = serve();
+        client.ping().unwrap();
+        let started = std::time::Instant::now();
+        server.shutdown();
+        assert!(started.elapsed() < Duration::from_millis(200));
+        assert!(client.ping().unwrap_err().is_fault());
     }
 
     #[test]

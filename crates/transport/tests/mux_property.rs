@@ -10,7 +10,13 @@
 //! response forever, and injects a stale frame for an abandoned id — and
 //! pins the refusal contract a version ladder would regrow from: unknown
 //! kinds and versions are typed faults addressed to the offending frame.
+//!
+//! The last four cases hold a real `TcpServer` to the threading contract
+//! of the wire: frames behind a slow query are answered before it, a
+//! pipelined load creates no thread per frame, and a peer that stops
+//! reading — on either side — costs its own connection, nobody's thread.
 
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -245,6 +251,216 @@ fn unknown_kinds_and_versions_are_typed_refusals_over_a_real_socket() {
         started.elapsed() < Duration::from_secs(10),
         "the refusal must not wait out the request deadline"
     );
+    drop(client);
+    scripted.join().unwrap();
+}
+
+/// A service over a world where exhaustive KPNE without the bound tables
+/// makes a six-category query take some hundred milliseconds — long
+/// enough to park a worker — while one- and two-category queries stay
+/// quick. Returns it with that slow query.
+fn slow_world(workers: usize) -> (Arc<KosrService>, Query) {
+    let mut g = kosr_workloads::road_grid_directed(16, 16, 13);
+    kosr_workloads::assign_uniform(&mut g, 6, 36, 5);
+    let last = VertexId(g.num_vertices() as u32 - 1);
+    let service = Arc::new(KosrService::new(
+        Arc::new(IndexedGraph::build_default(g)),
+        ServiceConfig {
+            workers,
+            planner: kosr_service::PlannerConfig {
+                kpne_cutoff: u64::MAX,
+                use_bounds: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    ));
+    let slow = Query::new(VertexId(0), last, (0..6).map(CategoryId).collect(), 50);
+    (service, slow)
+}
+
+fn quick_query(i: u32) -> Query {
+    Query::new(VertexId(i), VertexId(255 - i), vec![CategoryId(i % 6)], 1)
+}
+
+/// Encodes `requests` as consecutive frames with ids 1, 2, ….
+fn burst(requests: &[Request]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for (i, req) in requests.iter().enumerate() {
+        write_frame(&mut wire, &encode_request(i as u64 + 1, req)).unwrap();
+    }
+    wire
+}
+
+/// (a) With one worker parked on a slow query, a cache hit, a heartbeat
+/// and a member-count read sent *after* it on the same connection are all
+/// answered before it: the connection thread answers them itself.
+#[test]
+fn frames_behind_a_slow_query_are_answered_before_it() {
+    let (service, slow) = slow_world(2);
+    let hit = quick_query(7);
+    assert!(service.submit(hit.clone()).unwrap().wait().is_ok());
+    let server = TcpServer::spawn(service).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    raw.write_all(&burst(&[
+        Request::Query(slow),
+        Request::Query(hit),
+        Request::Ping { since_seq: None },
+        Request::MemberCounts,
+    ]))
+    .unwrap();
+    let mut order = Vec::new();
+    for _ in 0..4 {
+        let (id, resp) = decode_response(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
+        match (id, &resp) {
+            (1, Response::Query(Ok(r))) => assert!(!r.cached),
+            (2, Response::Query(Ok(r))) => assert!(r.cached, "the hit never needed a worker"),
+            (3, Response::Pong { .. }) | (4, Response::MemberCounts(_)) => {}
+            other => panic!("unexpected answer {other:?}"),
+        }
+        order.push(id);
+    }
+    assert_eq!(order[3], 1, "the slow query answers last: {order:?}");
+}
+
+/// Threads of this process named like the accept loop of the server on
+/// `port` — which is every thread that server created without naming it
+/// (connection threads, per-request handlers): a thread inherits its
+/// creator's name.
+#[cfg(target_os = "linux")]
+fn server_threads(port: u16) -> usize {
+    let name = format!("kosr-tcp-{port}\n");
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| *comm == name)
+        .count()
+}
+
+/// (b) 500 queries pipelined on one connection behind a slow one all
+/// complete, and while they wait the server runs its accept loop, one
+/// connection thread and the pool — no thread per query frame.
+#[cfg(target_os = "linux")]
+#[test]
+fn pipelined_queries_create_no_thread_per_frame() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let (service, slow) = slow_world(1);
+    let server = TcpServer::spawn(service).unwrap();
+    let port = server.addr().port();
+    let client = TcpTransport::connect(server.addr());
+    let done = AtomicBool::new(false);
+    let peak = thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::Acquire) {
+                peak = peak.max(server_threads(port));
+                thread::sleep(Duration::from_millis(2));
+            }
+            peak
+        });
+        // Every ticket in flight at once: the quick ones queue behind the
+        // slow one on the only worker.
+        let mut tickets = vec![client.submit(slow)];
+        tickets.extend((0..500).map(|i| client.submit(quick_query(i % 256))));
+        for t in tickets {
+            t.wait().expect("pipelined query answered");
+        }
+        done.store(true, Ordering::Release);
+        sampler.join().unwrap()
+    });
+    assert!(
+        (1..=2).contains(&peak),
+        "accept loop + one connection thread, saw {peak} server threads"
+    );
+}
+
+/// (c) A client that sends queries and never reads the answers has its
+/// connection closed once the server's write has stalled, instead of
+/// parking whoever writes to it: a second connection is answered all the
+/// while, and the only worker is free again afterwards.
+#[test]
+fn a_peer_that_never_reads_is_dropped_and_wedges_no_worker() {
+    let (service, big) = slow_world(1);
+    // ~2 KB per answer once cached: 6000 of them overrun any socket buffer.
+    assert!(service.submit(big.clone()).unwrap().wait().is_ok());
+    let server = TcpServer::spawn(service).unwrap();
+    let healthy = TcpTransport::with_deadline(server.addr(), Duration::from_secs(5));
+    assert!(healthy.ping().is_ok());
+
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_write_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    // Three misses for the worker to answer, then the flood of hits the
+    // connection thread answers itself.
+    let mut requests: Vec<Request> = (0..3).map(|i| Request::Query(quick_query(i))).collect();
+    requests.resize(6003, Request::Query(big));
+    let flood = burst(&requests);
+    let started = Instant::now();
+    let mut sent = 0;
+    let closed = loop {
+        // Keep offering bytes (the flood, then heartbeats) and never read:
+        // the write fails once the server has closed the connection.
+        let chunk = if sent < flood.len() {
+            &flood[sent..]
+        } else {
+            &flood[..64]
+        };
+        match raw.write(chunk) {
+            Ok(n) => sent += n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break true,
+        }
+        if started.elapsed() > Duration::from_secs(20) {
+            break false;
+        }
+        let asked = Instant::now();
+        assert!(healthy.ping().is_ok(), "the second connection is served");
+        assert!(asked.elapsed() < Duration::from_secs(1));
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert!(closed, "the stalled connection was never closed");
+    // No worker is wedged in a write to the dead peer: a fresh miss on the
+    // healthy connection gets the pool's only worker.
+    let answer = healthy.submit(quick_query(99)).wait().expect("worker free");
+    assert!(!answer.cached);
+}
+
+/// (d) A client whose peer stops reading sees a typed connection fault
+/// within its deadline — the submitter's own write times out — and the
+/// next request dials a fresh connection.
+#[test]
+fn a_server_that_stops_reading_faults_the_client_which_redials() {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let scripted = thread::spawn(move || {
+        // First connection: accepted, never read.
+        let (stalled, _) = listener.accept().unwrap();
+        // Second connection: a heartbeat, answered.
+        let (mut stream, _) = listener.accept().unwrap();
+        let (id, req) = decode_request(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        assert!(matches!(req, Request::Ping { .. }));
+        write_frame(&mut stream, &encode_response(id, &pong(9))).unwrap();
+        let _ = read_frame(&mut stream);
+        drop(stalled);
+    });
+    let deadline = Duration::from_millis(300);
+    let client = TcpTransport::with_deadline(addr, deadline);
+    // Far more than the socket buffers between the two ends can hold.
+    let blob = kosr_transport::protocol::SnapshotBlob {
+        epoch: 0,
+        bytes: vec![0; 32 << 20],
+    };
+    let started = Instant::now();
+    let err = client.install_snapshot(&blob).unwrap_err();
+    assert!(
+        matches!(err, TransportError::Connection(_)),
+        "a connection fault, got {err:?}"
+    );
+    assert!(started.elapsed() >= deadline, "{:?}", started.elapsed());
+    assert!(started.elapsed() < Duration::from_secs(10));
+    assert_eq!(client.ping().expect("re-dialed").epoch, 9);
     drop(client);
     scripted.join().unwrap();
 }
