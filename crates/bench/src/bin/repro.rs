@@ -17,7 +17,8 @@
 //!
 //! Absolute numbers differ from the paper (different hardware, scaled
 //! graphs); the *shapes* — who wins, by how much, where INF appears — are
-//! the reproduction targets recorded in EXPERIMENTS.md.
+//! the reproduction targets. They are not yet recorded or asserted
+//! anywhere; item 2a of ROADMAP.md tracks that.
 
 use std::collections::HashMap;
 use std::time::Duration;

@@ -3,11 +3,11 @@
 //! Prometheus counters say *how many* failovers happened; the journal says
 //! **who, when, and why**: every lifecycle edge the fleet has (replica
 //! health flips, failovers, quarantines, replay/snapshot recoveries, log
-//! compactions, epoch swaps, calibration adjustments, gateway admission
-//! rejections) is recorded as a typed [`Event`] with a monotone sequence
-//! number, a wall-clock stamp, structured tags, and — when one is in
-//! scope — the trace id of the query that observed the edge, so an alert
-//! can be walked back to the exact request trace that saw the fault.
+//! compactions, epoch swaps, gateway admission rejections) is recorded as
+//! a typed [`Event`] with a monotone sequence number, a wall-clock stamp,
+//! structured tags, and — when one is in scope — the trace id of the
+//! query that observed the edge, so an alert can be walked back to the
+//! exact request trace that saw the fault.
 //!
 //! Retention is bounded **per severity**: each severity level owns its own
 //! ring, so a flood of `Info` chatter can never evict the `Critical`
@@ -74,7 +74,7 @@ impl Severity {
 /// Where an event was observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
-    /// A replica-local [`crate::KosrService`] (epoch swaps, calibration).
+    /// A replica-local [`crate::KosrService`] (epoch swaps).
     Service,
     /// A shard's replica set or update bus (health flips, quarantines).
     Shard(u32),
@@ -133,8 +133,6 @@ pub enum EventKind {
     /// A replica's index epoch advanced (applied update or snapshot
     /// install).
     EpochSwap,
-    /// Planner calibration adjusted its cutoffs.
-    CalibrationAdjusted,
     /// The edge refused work (connection pool full, overload shedding).
     AdmissionRejected,
     /// An SLO began burning error budget past its threshold.
@@ -153,7 +151,7 @@ pub enum EventKind {
 }
 
 /// Number of [`EventKind`] variants (the width of the counter tables).
-pub(crate) const NUM_KINDS: usize = 17;
+pub(crate) const NUM_KINDS: usize = 16;
 
 impl EventKind {
     /// Every kind, slot order.
@@ -168,7 +166,6 @@ impl EventKind {
         EventKind::LogCompacted,
         EventKind::UpdatePublished,
         EventKind::EpochSwap,
-        EventKind::CalibrationAdjusted,
         EventKind::AdmissionRejected,
         EventKind::AlertFiring,
         EventKind::AlertResolved,
@@ -189,13 +186,12 @@ impl EventKind {
             EventKind::LogCompacted => 7,
             EventKind::UpdatePublished => 8,
             EventKind::EpochSwap => 9,
-            EventKind::CalibrationAdjusted => 10,
-            EventKind::AdmissionRejected => 11,
-            EventKind::AlertFiring => 12,
-            EventKind::AlertResolved => 13,
-            EventKind::SubscriptionCreated => 14,
-            EventKind::SubscriptionResync => 15,
-            EventKind::SubscriptionDropped => 16,
+            EventKind::AdmissionRejected => 10,
+            EventKind::AlertFiring => 11,
+            EventKind::AlertResolved => 12,
+            EventKind::SubscriptionCreated => 13,
+            EventKind::SubscriptionResync => 14,
+            EventKind::SubscriptionDropped => 15,
         }
     }
 
@@ -212,7 +208,6 @@ impl EventKind {
             EventKind::LogCompacted => "log_compacted",
             EventKind::UpdatePublished => "update_published",
             EventKind::EpochSwap => "epoch_swap",
-            EventKind::CalibrationAdjusted => "calibration_adjusted",
             EventKind::AdmissionRejected => "admission_rejected",
             EventKind::AlertFiring => "alert_firing",
             EventKind::AlertResolved => "alert_resolved",
@@ -238,7 +233,6 @@ impl EventKind {
             | EventKind::LogCompacted
             | EventKind::UpdatePublished
             | EventKind::EpochSwap
-            | EventKind::CalibrationAdjusted
             | EventKind::AlertResolved
             | EventKind::SubscriptionCreated
             | EventKind::SubscriptionDropped => Severity::Info,

@@ -324,9 +324,9 @@ struct Shared {
     /// that would move it backwards (a stale controller's view).
     log_head: AtomicU64,
     latency: LatencyHistogram,
-    /// The replica-local lifecycle journal: epoch swaps and calibration
-    /// adjustments land here (never the query hot path), and transport
-    /// hosts forward it fleet-ward piggybacked on heartbeat responses.
+    /// The replica-local lifecycle journal: epoch swaps land here (never
+    /// the query hot path), and transport hosts forward it fleet-ward
+    /// piggybacked on heartbeat responses.
     events: Arc<EventJournal>,
     /// The replica tier's recent-span ring: every span produced for a
     /// sampled trace also lands here for local diagnostics.
@@ -364,13 +364,6 @@ impl Shared {
                     let m = &self.methods[method_slot(resp.plan.method)];
                     m.completed.fetch_add(1, Ordering::Relaxed);
                     m.latency.record(resp.latency);
-                    // Close the calibration loop: observed per-method
-                    // latency feeds the planner's threshold EWMAs, and a
-                    // clean completion decays the budget scale back toward
-                    // its configured floor (both no-ops unless `calibrate`
-                    // is on).
-                    self.planner.observe(resp.plan.method, resp.latency);
-                    self.planner.observe_budget(false);
                 }
                 self.latency.record(resp.latency);
             }
@@ -490,10 +483,7 @@ impl Shared {
 
         if outcome.stats.truncated {
             // The budget ran out before all k routes were found: surface a
-            // typed failure rather than caching a partial answer — and
-            // feed the exhaustion into budget calibration so repeat
-            // offenders get a larger (clamped) budget.
-            self.planner.observe_budget(true);
+            // typed failure rather than caching a partial answer.
             self.respond(
                 job.done,
                 Err(ServiceError::BudgetExhausted {
@@ -818,9 +808,9 @@ impl KosrService {
         self.shared.spans.recent()
     }
 
-    /// The replica-local lifecycle journal (epoch swaps, calibration
-    /// adjustments). Transport hosts drain it over the wire so the fleet
-    /// journal sees remote replicas' lifecycle too.
+    /// The replica-local lifecycle journal (epoch swaps). Transport hosts
+    /// drain it over the wire so the fleet journal sees remote replicas'
+    /// lifecycle too.
     pub fn events(&self) -> Arc<EventJournal> {
         Arc::clone(&self.shared.events)
     }
@@ -971,52 +961,6 @@ impl KosrService {
     /// [`KosrService::advance_log_head`]).
     pub fn log_head(&self) -> u64 {
         self.shared.log_head.load(Ordering::Acquire)
-    }
-
-    /// Seeds the planner's calibration EWMAs from an existing
-    /// [`MethodStats`] snapshot (e.g. another replica's counters) — see
-    /// [`crate::QueryPlanner::calibrate_from`].
-    pub fn calibrate_from(&self, stats: &[MethodStats]) {
-        self.shared.planner.calibrate_from(stats);
-        self.shared.events.emit(
-            Source::Service,
-            EventKind::CalibrationAdjusted,
-            None,
-            vec![
-                (
-                    "reason".to_string(),
-                    TagValue::Str("peer_stats".to_string()),
-                ),
-                ("methods".to_string(), TagValue::U64(stats.len() as u64)),
-            ],
-        );
-    }
-
-    /// Serializes the planner's learned calibration state so a restarted
-    /// service can resume with learned thresholds instead of defaults —
-    /// see [`crate::QueryPlanner::encode_calibration`].
-    pub fn encode_calibration(&self) -> Vec<u8> {
-        self.shared.planner.encode_calibration()
-    }
-
-    /// Restores learned calibration state from an
-    /// [`KosrService::encode_calibration`] blob; total and panic-free —
-    /// see [`crate::QueryPlanner::decode_calibration`].
-    pub fn decode_calibration(
-        &self,
-        blob: &[u8],
-    ) -> Result<(), crate::planner::CalibrationBlobError> {
-        self.shared.planner.decode_calibration(blob)?;
-        self.shared.events.emit(
-            Source::Service,
-            EventKind::CalibrationAdjusted,
-            None,
-            vec![(
-                "reason".to_string(),
-                TagValue::Str("blob_restore".to_string()),
-            )],
-        );
-        Ok(())
     }
 
     /// Per-method execution counters with at least one completion, in
@@ -1578,63 +1522,6 @@ mod tests {
         assert_eq!(svc.advance_log_head(9), Ok(9));
         assert_eq!(svc.advance_log_head(3), Err(9), "stale notices refused");
         assert_eq!(svc.log_head(), 9);
-    }
-
-    #[test]
-    fn restarted_service_resumes_learned_calibration() {
-        use kosr_workloads::{assign_uniform, road_grid_directed};
-
-        // Dense world where calibration evidence flips SK → PK.
-        let mut g = road_grid_directed(16, 16, 3);
-        assign_uniform(&mut g, 2, 102, 7);
-        let ig = Arc::new(IndexedGraph::build_default(g));
-        let calibrating = ServiceConfig {
-            workers: 1,
-            planner: crate::planner::PlannerConfig {
-                calibrate: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let dense = Query::new(
-            kosr_graph::VertexId(0),
-            kosr_graph::VertexId(255),
-            vec![CategoryId(0), CategoryId(1)],
-            16,
-        );
-
-        let first = KosrService::new(Arc::clone(&ig), calibrating.clone());
-        assert_eq!(first.plan(&dense).method, Method::Pk, "dense large-k");
-        let dense_small = Query {
-            k: 4,
-            ..dense.clone()
-        };
-        assert_eq!(first.plan(&dense_small).method, Method::Sk);
-        let snap = |m: Method, mean: Duration| MethodStats {
-            method: m,
-            completed: 50,
-            latency_mean: mean,
-            latency_p50: mean,
-            latency_p99: mean,
-        };
-        first.calibrate_from(&[
-            snap(Method::Sk, Duration::from_millis(20)),
-            snap(Method::Pk, Duration::from_millis(1)),
-        ]);
-        assert_eq!(first.plan(&dense_small).method, Method::Pk, "learned");
-
-        // "Restart": a fresh service starts at defaults, resumes from the
-        // persisted blob, and plans like the learned one.
-        let blob = first.encode_calibration();
-        drop(first);
-        let restarted = KosrService::new(Arc::clone(&ig), calibrating);
-        assert_eq!(restarted.plan(&dense_small).method, Method::Sk, "cold");
-        restarted.decode_calibration(&blob).unwrap();
-        assert_eq!(restarted.plan(&dense_small).method, Method::Pk, "resumed");
-
-        // Garbage blobs are typed rejections, not panics.
-        assert!(restarted.decode_calibration(b"garbage").is_err());
-        assert_eq!(restarted.plan(&dense_small).method, Method::Pk, "kept");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! | piece | role |
 //! |---|---|
-//! | [`QueryPlanner`] / [`QueryPlan`] | picks `Method::{Kpne, Pk, Sk}` + expansion budget from k, \|C\| and category selectivity |
+//! | [`QueryPlanner`] / [`QueryPlan`] | picks `Method::{Kpne, Pk, Sk}` + expansion budget from k, \|C\| and category selectivity by a fixed rule: a pure function of index and query |
 //! | [`ResultCache`] | canonical-key LRU over complete outcomes, with prefix (`k' < k`) truncation reuse, counters + invalidation hooks |
 //! | [`KosrService`] | bounded submission queue + worker pool + admission control |
 //! | [`Update`] / [`KosrService::apply_update`] | live §IV-C updates: index mutation + epoch bump + cache invalidation |
@@ -61,9 +61,7 @@ pub use executor::{
     run_sequential, KosrService, QueryResponse, ServiceConfig, Ticket, Update, UpdateReceipt,
 };
 pub use metrics::{validate_prometheus_text, MetricKind, MetricsRegistry, MetricsSource};
-pub use planner::{
-    CalibrationBlobError, PlannerConfig, QueryPlan, QueryPlanner, CALIBRATION_CLAMP,
-};
+pub use planner::{PlannerConfig, QueryPlan, QueryPlanner};
 pub use stats::{LatencyHistogram, MethodStats, ServiceStats};
 pub use trace::{
     sample_decision, span_id_for, splitmix64, SlowQueryLog, Span, SpanId, SpanRing, TagValue,

@@ -15,21 +15,12 @@
 //!   (the product of the queried category sizes fits in a few dozen
 //!   routes); then its lack of dominance bookkeeping makes it cheapest.
 //!
-//! With [`PlannerConfig::calibrate`] on, the paper-informed thresholds
-//! stop being static: per-method latency EWMAs (fed by the executor's
-//! [`MethodStats`](crate::MethodStats) pipeline, or seeded from an
-//! external stats snapshot via [`QueryPlanner::calibrate_from`]) scale
-//! `kpne_cutoff` and `dense_selectivity` toward whichever method the
-//! *observed* workload shows to be cheaper — the ROADMAP's "planner
-//! calibration" loop.
+//! The rule is fixed: a plan is a function of the index and the query over
+//! the configured [`PlannerConfig`] constants, with no state behind it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use kosr_core::{IndexedGraph, Method, Query};
-
-use crate::stats::{method_slot, MethodStats};
 
 /// Tunables for [`QueryPlanner`]. The defaults encode the paper-derived
 /// policy above; services can override any threshold.
@@ -38,7 +29,7 @@ pub struct PlannerConfig {
     /// Candidate-space cutoff below which KPNE is picked: if
     /// `Π |Ci| · k ≤ kpne_cutoff`, exhaustive expansion is cheapest.
     pub kpne_cutoff: u64,
-    /// Selectivity above which categories count as "dense" for the PK
+    /// Selectivity at or above which categories count as "dense" for the PK
     /// rule.
     pub dense_selectivity: f64,
     /// `k` at or above which dense queries switch from SK to PK.
@@ -51,12 +42,6 @@ pub struct PlannerConfig {
     /// Default wall-clock deadline stamped on plans (queue wait included);
     /// `None` admits queries with no deadline.
     pub deadline: Option<Duration>,
-    /// Opt-in latency feedback: when `true`, observed per-method latency
-    /// EWMAs scale `kpne_cutoff` and `dense_selectivity` (within
-    /// [`CALIBRATION_CLAMP`]) toward the methods the live workload shows
-    /// to be cheaper. Off by default — thresholds stay the paper-informed
-    /// constants.
-    pub calibrate: bool,
     /// When `true` (the default), executions run with the index's
     /// inter-category lower-bound tables: the search queue is ordered by
     /// `cost + remaining-sequence bound` and provably uncompletable
@@ -78,166 +63,10 @@ impl Default for PlannerConfig {
             expansion_per_level: 1_000_000,
             max_examined: u64::MAX,
             deadline: None,
-            calibrate: false,
             use_bounds: true,
         }
     }
 }
-
-/// How far calibration may scale a threshold away from its configured
-/// value, in either direction. Bounding the swing keeps a burst of skewed
-/// observations from driving the planner into a corner it cannot observe
-/// its way back out of.
-pub const CALIBRATION_CLAMP: f64 = 4.0;
-
-/// EWMA smoothing: `ewma ← (7·ewma + sample) / 8`.
-const EWMA_WEIGHT: u64 = 8;
-
-/// Fixed-point unit of the budget scale: 1000 ≙ ×1.0.
-const BUDGET_SCALE_ONE: u64 = 1000;
-
-/// Learned calibration state (per-method latency EWMAs in µs, 0 = no
-/// samples yet, plus the expansion-budget scale), shared by every clone of
-/// a planner so executor feedback and planning read one state.
-#[derive(Debug)]
-struct CalibrationState {
-    ewma_micros: [AtomicU64; 6],
-    /// Expansion-budget multiplier in milli-units (1000 = the configured
-    /// budget). Grows on observed budget exhaustion, decays back toward
-    /// 1000 on successful completions; never drops below the configured
-    /// budget and never exceeds [`CALIBRATION_CLAMP`]× it.
-    budget_scale_milli: AtomicU64,
-}
-
-impl Default for CalibrationState {
-    fn default() -> CalibrationState {
-        CalibrationState {
-            ewma_micros: Default::default(),
-            budget_scale_milli: AtomicU64::new(BUDGET_SCALE_ONE),
-        }
-    }
-}
-
-impl CalibrationState {
-    fn observe(&self, m: Method, latency: Duration) {
-        // Clamp into [1, u64::MAX] so a recorded sample is never mistaken
-        // for the "no samples" sentinel.
-        let sample = (latency.as_micros().min(u64::MAX as u128) as u64).max(1);
-        let slot = &self.ewma_micros[method_slot(m)];
-        let mut current = slot.load(Ordering::Relaxed);
-        loop {
-            let next = if current == 0 {
-                sample
-            } else {
-                ((EWMA_WEIGHT - 1) * current + sample) / EWMA_WEIGHT
-            };
-            match slot.compare_exchange_weak(
-                current,
-                next.max(1),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    fn ewma(&self, m: Method) -> Option<u64> {
-        match self.ewma_micros[method_slot(m)].load(Ordering::Relaxed) {
-            0 => None,
-            micros => Some(micros),
-        }
-    }
-
-    /// `observed(a) / observed(b)` clamped into the calibration swing;
-    /// `1.0` until both methods have samples.
-    fn ratio(&self, a: Method, b: Method) -> f64 {
-        match (self.ewma(a), self.ewma(b)) {
-            (Some(a), Some(b)) => {
-                (a as f64 / b as f64).clamp(1.0 / CALIBRATION_CLAMP, CALIBRATION_CLAMP)
-            }
-            _ => 1.0,
-        }
-    }
-
-    /// Budget feedback: exhaustion grows the scale by 3/2 (clamped to
-    /// [`CALIBRATION_CLAMP`]×); a successful completion decays it
-    /// proportionally back toward the configured budget. The scale never
-    /// drops *below* ×1 — a budget the operator configured is a floor, not
-    /// a suggestion.
-    fn observe_budget(&self, truncated: bool) {
-        let ceiling = (BUDGET_SCALE_ONE as f64 * CALIBRATION_CLAMP) as u64;
-        let slot = &self.budget_scale_milli;
-        let mut current = slot.load(Ordering::Relaxed);
-        loop {
-            let next = if truncated {
-                (current.saturating_mul(3) / 2).clamp(BUDGET_SCALE_ONE, ceiling)
-            } else {
-                current
-                    .saturating_sub((current / 256).max(1))
-                    .max(BUDGET_SCALE_ONE)
-            };
-            if next == current {
-                return;
-            }
-            match slot.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    fn budget_scale(&self) -> u64 {
-        self.budget_scale_milli.load(Ordering::Relaxed)
-    }
-}
-
-/// Why a calibration blob was refused by
-/// [`QueryPlanner::decode_calibration`]. The decoder is total: any byte
-/// input yields `Ok` or one of these, never a panic — and a refused blob
-/// leaves the planner's learned state untouched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CalibrationBlobError {
-    /// The blob does not start with the `KCAL` magic.
-    BadMagic,
-    /// The blob's format version is newer than this build understands.
-    UnsupportedVersion(u8),
-    /// The blob ends before the full payload.
-    Truncated {
-        /// Bytes a well-formed blob carries.
-        expected: usize,
-        /// Bytes actually present.
-        found: usize,
-    },
-    /// Extra bytes follow a complete payload (corruption, not a format
-    /// extension — versions exist for that).
-    TrailingBytes(usize),
-}
-
-impl std::fmt::Display for CalibrationBlobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CalibrationBlobError::BadMagic => write!(f, "calibration blob: bad magic"),
-            CalibrationBlobError::UnsupportedVersion(v) => {
-                write!(f, "calibration blob: unsupported version {v}")
-            }
-            CalibrationBlobError::Truncated { expected, found } => {
-                write!(f, "calibration blob truncated: {found} of {expected} bytes")
-            }
-            CalibrationBlobError::TrailingBytes(n) => {
-                write!(f, "calibration blob: {n} trailing bytes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CalibrationBlobError {}
-
-const CALIBRATION_MAGIC: [u8; 4] = *b"KCAL";
-const CALIBRATION_VERSION: u8 = 1;
-/// magic + version + 6 EWMAs + budget scale.
-const CALIBRATION_BLOB_LEN: usize = 4 + 1 + 6 * 8 + 8;
 
 /// What the planner decided for one query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,18 +86,12 @@ pub struct QueryPlan {
 #[derive(Clone, Debug, Default)]
 pub struct QueryPlanner {
     config: PlannerConfig,
-    /// Shared across clones: the executor's feedback and every planning
-    /// thread read/write one EWMA table.
-    calibration: Arc<CalibrationState>,
 }
 
 impl QueryPlanner {
     /// A planner with the given tunables.
     pub fn new(config: PlannerConfig) -> QueryPlanner {
-        QueryPlanner {
-            config,
-            calibration: Arc::new(CalibrationState::default()),
-        }
+        QueryPlanner { config }
     }
 
     /// The active tunables.
@@ -276,157 +99,9 @@ impl QueryPlanner {
         &self.config
     }
 
-    /// Records one uncached completion's `(method, latency)` into the
-    /// calibration EWMAs. No-op unless [`PlannerConfig::calibrate`] is on.
-    pub fn observe(&self, method: Method, latency: Duration) {
-        if self.config.calibrate {
-            self.calibration.observe(method, latency);
-        }
-    }
-
-    /// Records one execution's budget outcome: `truncated == true` means
-    /// the search exhausted its examined-routes budget before finding all
-    /// k routes. Exhaustion grows the effective expansion budget (up to
-    /// [`CALIBRATION_CLAMP`]× the configured value); completions decay it
-    /// back toward the configured floor. No-op unless
-    /// [`PlannerConfig::calibrate`] is on.
-    pub fn observe_budget(&self, truncated: bool) {
-        if self.config.calibrate {
-            self.calibration.observe_budget(truncated);
-        }
-    }
-
-    /// Seeds the calibration EWMAs from an existing [`MethodStats`]
-    /// snapshot (e.g. another replica's counters), so a fresh planner
-    /// starts from fleet-observed latencies instead of cold. No-op unless
-    /// [`PlannerConfig::calibrate`] is on.
-    pub fn calibrate_from(&self, stats: &[MethodStats]) {
-        if !self.config.calibrate {
-            return;
-        }
-        for m in stats {
-            if m.completed > 0 {
-                self.calibration.observe(m.method, m.latency_mean);
-            }
-        }
-    }
-
-    /// The calibrated-or-configured `(kpne_cutoff, dense_selectivity)`
-    /// pair planning uses right now — exposed so tests and operators can
-    /// see where the feedback loop has moved the thresholds.
-    pub fn effective_thresholds(&self) -> (u64, f64) {
-        let eff = self.effective_config();
-        (eff.kpne_cutoff, eff.dense_selectivity)
-    }
-
-    /// The full tunable set planning uses right now: the configured
-    /// [`PlannerConfig`] with every calibrated threshold substituted.
-    /// With [`PlannerConfig::calibrate`] off this is the configuration
-    /// verbatim; with it on,
-    ///
-    /// * `kpne_cutoff` scales by the observed SK/KPNE latency ratio (KPNE
-    ///   cheaper → admit larger candidate spaces to KPNE);
-    /// * `dense_selectivity` and `dense_k` divide by the observed SK/PK
-    ///   ratio (PK cheaper → the dense/PK branch opens at lower density
-    ///   and smaller k);
-    /// * `expansion_per_level` scales by the budget-feedback multiplier
-    ///   (grown by observed exhaustions, decayed by completions).
-    ///
-    /// Every swing is bounded by [`CALIBRATION_CLAMP`] in either
-    /// direction — the ratios are clamped at the source, and the budget
-    /// scale lives in `[1, CALIBRATION_CLAMP]`.
-    pub fn effective_config(&self) -> PlannerConfig {
-        let mut cfg = self.config.clone();
-        if !cfg.calibrate {
-            return cfg;
-        }
-        // KPNE cheaper than SK in practice → admit larger candidate
-        // spaces to KPNE (scale the cutoff up by SK/KPNE), and vice versa.
-        cfg.kpne_cutoff = ((cfg.kpne_cutoff as f64)
-            * self.calibration.ratio(Method::Sk, Method::Kpne))
-        .round()
-        .max(1.0) as u64;
-        // PK cheaper than SK → lower the density bar so more dense
-        // queries take PK (divide by SK/PK), and vice versa…
-        let sk_over_pk = self.calibration.ratio(Method::Sk, Method::Pk);
-        cfg.dense_selectivity = (self.config.dense_selectivity / sk_over_pk).clamp(0.01, 1.0);
-        // …and open the PK branch at smaller k by the same evidence.
-        cfg.dense_k = ((self.config.dense_k as f64) / sk_over_pk).round().max(1.0) as usize;
-        let scale = self.calibration.budget_scale();
-        cfg.expansion_per_level = ((self.config.expansion_per_level as u128 * scale as u128)
-            / BUDGET_SCALE_ONE as u128)
-            .min(u64::MAX as u128) as u64;
-        cfg
-    }
-
-    /// Serializes the learned calibration state (per-method latency EWMAs
-    /// and the budget scale) into a versioned little-endian blob, so a
-    /// restarted service can resume with learned thresholds instead of
-    /// defaults ([`QueryPlanner::decode_calibration`]). The blob captures
-    /// *observations*, not effective thresholds — restoring into a planner
-    /// with different configured constants re-derives its own effective
-    /// values from the same evidence.
-    pub fn encode_calibration(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(CALIBRATION_BLOB_LEN);
-        out.extend_from_slice(&CALIBRATION_MAGIC);
-        out.push(CALIBRATION_VERSION);
-        for slot in &self.calibration.ewma_micros {
-            out.extend_from_slice(&slot.load(Ordering::Relaxed).to_le_bytes());
-        }
-        out.extend_from_slice(&self.calibration.budget_scale().to_le_bytes());
-        out
-    }
-
-    /// Restores learned calibration state from an
-    /// [`QueryPlanner::encode_calibration`] blob. Total and panic-free:
-    /// malformed input yields a typed [`CalibrationBlobError`] and leaves
-    /// the current state untouched. The restored evidence only moves plans
-    /// while [`PlannerConfig::calibrate`] is on.
-    pub fn decode_calibration(&self, blob: &[u8]) -> Result<(), CalibrationBlobError> {
-        if blob.len() < CALIBRATION_MAGIC.len() || blob[..4] != CALIBRATION_MAGIC {
-            return Err(CalibrationBlobError::BadMagic);
-        }
-        let Some(&version) = blob.get(4) else {
-            return Err(CalibrationBlobError::Truncated {
-                expected: CALIBRATION_BLOB_LEN,
-                found: blob.len(),
-            });
-        };
-        if version != CALIBRATION_VERSION {
-            return Err(CalibrationBlobError::UnsupportedVersion(version));
-        }
-        match blob.len() {
-            n if n < CALIBRATION_BLOB_LEN => {
-                return Err(CalibrationBlobError::Truncated {
-                    expected: CALIBRATION_BLOB_LEN,
-                    found: n,
-                })
-            }
-            n if n > CALIBRATION_BLOB_LEN => {
-                return Err(CalibrationBlobError::TrailingBytes(
-                    n - CALIBRATION_BLOB_LEN,
-                ))
-            }
-            _ => {}
-        }
-        let word = |i: usize| {
-            let at = 5 + 8 * i;
-            u64::from_le_bytes(blob[at..at + 8].try_into().expect("length checked"))
-        };
-        for (i, slot) in self.calibration.ewma_micros.iter().enumerate() {
-            slot.store(word(i), Ordering::Relaxed);
-        }
-        let ceiling = (BUDGET_SCALE_ONE as f64 * CALIBRATION_CLAMP) as u64;
-        self.calibration
-            .budget_scale_milli
-            .store(word(6).clamp(BUDGET_SCALE_ONE, ceiling), Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Plans `query` against `ig`. The query is assumed validated.
     pub fn plan(&self, ig: &IndexedGraph, query: &Query) -> QueryPlan {
-        let cfg = self.effective_config();
-        let (kpne_cutoff, dense_selectivity) = (cfg.kpne_cutoff, cfg.dense_selectivity);
+        let cfg = &self.config;
 
         // Candidate-space size: Π |Ci| (saturating) times k. Member counts
         // and selectivity come from the inverted label index — the
@@ -440,9 +115,9 @@ impl QueryPlanner {
         }
         let space = product.saturating_mul(query.k as u64);
 
-        let method = if !query.categories.is_empty() && space <= kpne_cutoff {
+        let method = if !query.categories.is_empty() && space <= cfg.kpne_cutoff {
             Method::Kpne
-        } else if max_selectivity >= dense_selectivity && query.k >= cfg.dense_k {
+        } else if max_selectivity >= cfg.dense_selectivity && query.k >= cfg.dense_k {
             Method::Pk
         } else {
             Method::Sk
@@ -540,259 +215,106 @@ mod tests {
     }
 
     #[test]
-    fn skewed_latencies_shift_method_choice_only_when_calibrating() {
-        // Dense-ish world: 2 categories at ~16% selectivity — under the
-        // default 25% bar, so large-k queries default to SK.
-        let mut g = road_grid_directed(16, 16, 3);
-        assign_uniform(&mut g, 2, 40, 7);
-        let ig = IndexedGraph::build_default(g);
-        let dense = Query::new(
-            VertexId(0),
-            VertexId(255),
-            vec![CategoryId(0), CategoryId(1)],
-            16,
-        );
-
-        let calibrating = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            ..Default::default()
-        });
-        assert_eq!(calibrating.plan(&ig, &dense).method, Method::Sk);
-
-        // The live workload shows PK an order of magnitude cheaper: the
-        // density bar drops (clamped) and the same query flips to PK.
-        for _ in 0..16 {
-            calibrating.observe(Method::Sk, Duration::from_millis(10));
-            calibrating.observe(Method::Pk, Duration::from_millis(1));
-        }
-        let (_, dense_bar) = calibrating.effective_thresholds();
-        assert!(dense_bar < 0.25 / (CALIBRATION_CLAMP - 0.5), "{dense_bar}");
-        assert_eq!(calibrating.plan(&ig, &dense).method, Method::Pk);
-
-        // The same evidence with the flag off must not move the plan.
-        let frozen = QueryPlanner::default();
-        for _ in 0..16 {
-            frozen.observe(Method::Sk, Duration::from_millis(10));
-            frozen.observe(Method::Pk, Duration::from_millis(1));
-        }
-        assert_eq!(frozen.plan(&ig, &dense).method, Method::Sk);
-        assert_eq!(frozen.effective_thresholds(), (64, 0.25));
-    }
-
-    #[test]
-    fn kpne_cutoff_scales_with_observed_kpne_advantage() {
-        // Figure 1 at a k that puts the candidate space just above the
-        // default cutoff of 64, so the planner starts on SK.
+    fn rule_edges_are_pinned() {
+        // Each `≤`/`≥` comparison of the rule, met exactly and missed by
+        // one step, on Figure 1 (MA and RE, two members each).
         let fx = figure1();
         let ig = fig1_ig();
-        let space_per_k: u64 = [fx.ma, fx.re, fx.ci]
+        let (cats, k) = (vec![fx.ma, fx.re], 3);
+        let space: u64 = cats
             .iter()
             .map(|&c| ig.inverted.members_of(c) as u64)
-            .product();
-        let k = (64 / space_per_k + 1) as usize;
-        let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], k);
-        let planner = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            // Keep the dense/PK branch out of the way: this test isolates
-            // the KPNE-cutoff half of the feedback loop.
-            dense_k: usize::MAX,
+            .product::<u64>()
+            * k as u64;
+        let densest = cats
+            .iter()
+            .map(|&c| ig.category_selectivity(c))
+            .fold(0.0, f64::max);
+        let query = |categories: &[CategoryId], k| Query::new(fx.s, fx.t, categories.to_vec(), k);
+        // KPNE held off so the dense rows reach the PK comparison.
+        let dense = |dense_selectivity| PlannerConfig {
+            kpne_cutoff: 0,
+            dense_selectivity,
+            dense_k: k,
             ..Default::default()
-        });
-        assert_eq!(planner.plan(&ig, &q).method, Method::Sk);
-        for _ in 0..16 {
-            planner.observe(Method::Kpne, Duration::from_micros(100));
-            planner.observe(Method::Sk, Duration::from_millis(2));
-        }
-        let (cutoff, _) = planner.effective_thresholds();
-        assert!(cutoff >= space_per_k * k as u64, "cutoff grew to {cutoff}");
-        assert_eq!(planner.plan(&ig, &q).method, Method::Kpne);
-    }
-
-    #[test]
-    fn calibrate_from_seeds_the_ewmas_from_a_stats_snapshot() {
-        let mut g = road_grid_directed(16, 16, 3);
-        assign_uniform(&mut g, 2, 40, 7);
-        let ig = IndexedGraph::build_default(g);
-        let dense = Query::new(
-            VertexId(0),
-            VertexId(255),
-            vec![CategoryId(0), CategoryId(1)],
-            16,
-        );
-        let planner = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            ..Default::default()
-        });
-        let snap = |m: Method, mean: Duration| crate::MethodStats {
-            method: m,
-            completed: 50,
-            latency_mean: mean,
-            latency_p50: mean,
-            latency_p99: mean,
         };
-        planner.calibrate_from(&[
-            snap(Method::Sk, Duration::from_millis(20)),
-            snap(Method::Pk, Duration::from_millis(1)),
-        ]);
-        assert_eq!(planner.plan(&ig, &dense).method, Method::Pk);
-    }
-
-    #[test]
-    fn budget_feedback_grows_within_clamp_and_decays_to_the_floor() {
-        let per_level = 100;
-        let planner = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            expansion_per_level: per_level,
-            ..Default::default()
-        });
-        assert_eq!(planner.effective_config().expansion_per_level, per_level);
-
-        // A storm of exhaustions: the budget grows, but the 4× clamp holds
-        // however long the storm lasts.
-        for _ in 0..50 {
-            planner.observe_budget(true);
-        }
-        let grown = planner.effective_config().expansion_per_level;
-        assert!(grown > per_level, "exhaustions must grow the budget");
-        assert!(
-            grown <= per_level * CALIBRATION_CLAMP as u64,
-            "swing exceeded the clamp: {grown}"
-        );
-        assert_eq!(
-            grown,
-            per_level * CALIBRATION_CLAMP as u64,
-            "storm saturates"
-        );
-
-        // Sustained clean completions decay back to the configured floor —
-        // and never below it.
-        for _ in 0..2000 {
-            planner.observe_budget(false);
-        }
-        assert_eq!(planner.effective_config().expansion_per_level, per_level);
-
-        // With calibration off the same evidence moves nothing.
-        let frozen = QueryPlanner::new(PlannerConfig {
-            expansion_per_level: per_level,
-            ..Default::default()
-        });
-        for _ in 0..50 {
-            frozen.observe_budget(true);
-        }
-        assert_eq!(frozen.effective_config().expansion_per_level, per_level);
-    }
-
-    #[test]
-    fn dense_k_calibrates_with_pk_evidence_within_clamp() {
-        // Dense world (40% selectivity), k=4 — under the default dense_k
-        // of 8, so the uncalibrated plan is SK.
-        let mut g = road_grid_directed(16, 16, 3);
-        assign_uniform(&mut g, 2, 102, 7);
-        let ig = IndexedGraph::build_default(g);
-        let dense_small_k = Query::new(
-            VertexId(0),
-            VertexId(255),
-            vec![CategoryId(0), CategoryId(1)],
-            4,
-        );
-        let planner = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            ..Default::default()
-        });
-        assert_eq!(planner.plan(&ig, &dense_small_k).method, Method::Sk);
-
-        // PK observed an order of magnitude cheaper: the dense branch
-        // opens at smaller k and the same query flips to PK…
-        for _ in 0..16 {
-            planner.observe(Method::Sk, Duration::from_millis(10));
-            planner.observe(Method::Pk, Duration::from_millis(1));
-        }
-        let eff = planner.effective_config();
-        assert!(eff.dense_k < 8, "dense_k must drop: {}", eff.dense_k);
-        // …but never past the 4× clamp, however extreme the skew.
-        assert!(eff.dense_k >= 2, "clamp breached: {}", eff.dense_k);
-        assert_eq!(planner.plan(&ig, &dense_small_k).method, Method::Pk);
-
-        // The same evidence with the flag off moves nothing.
-        let frozen = QueryPlanner::default();
-        for _ in 0..16 {
-            frozen.observe(Method::Sk, Duration::from_millis(10));
-            frozen.observe(Method::Pk, Duration::from_millis(1));
-        }
-        assert_eq!(frozen.effective_config().dense_k, 8);
-        assert_eq!(frozen.plan(&ig, &dense_small_k).method, Method::Sk);
-    }
-
-    #[test]
-    fn calibration_blob_roundtrips_learned_state() {
-        let planner = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            ..Default::default()
-        });
-        for _ in 0..16 {
-            planner.observe(Method::Sk, Duration::from_millis(10));
-            planner.observe(Method::Pk, Duration::from_millis(1));
-            planner.observe_budget(true);
-        }
-        let blob = planner.encode_calibration();
-
-        // A restarted planner resumes with the learned thresholds instead
-        // of the configured defaults.
-        let restarted = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            ..Default::default()
-        });
-        let defaults = restarted.effective_config();
-        assert_eq!(defaults.dense_k, 8);
-        restarted.decode_calibration(&blob).unwrap();
-        let restored = restarted.effective_config();
-        let learned = planner.effective_config();
-        assert_eq!(restored.dense_k, learned.dense_k);
-        assert_eq!(restored.kpne_cutoff, learned.kpne_cutoff);
-        assert_eq!(restored.expansion_per_level, learned.expansion_per_level);
-        assert!((restored.dense_selectivity - learned.dense_selectivity).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibration_blob_decoder_is_total_and_typed() {
-        let planner = QueryPlanner::new(PlannerConfig {
-            calibrate: true,
-            ..Default::default()
-        });
-        assert_eq!(
-            planner.decode_calibration(b"nope"),
-            Err(CalibrationBlobError::BadMagic)
-        );
-        assert_eq!(
-            planner.decode_calibration(b""),
-            Err(CalibrationBlobError::BadMagic)
-        );
-        let good = planner.encode_calibration();
-        assert!(planner.decode_calibration(&good).is_ok());
-        let mut wrong_version = good.clone();
-        wrong_version[4] = 99;
-        assert_eq!(
-            planner.decode_calibration(&wrong_version),
-            Err(CalibrationBlobError::UnsupportedVersion(99))
-        );
-        for cut in 4..good.len() {
-            let err = planner.decode_calibration(&good[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CalibrationBlobError::Truncated { .. } | CalibrationBlobError::BadMagic
-                ),
-                "cut {cut}: {err:?}"
+        let budget = |k: usize, levels: u64| 1_000_000 * k as u64 * levels;
+        let cases = [
+            (
+                "space == kpne_cutoff",
+                PlannerConfig {
+                    kpne_cutoff: space,
+                    ..Default::default()
+                },
+                query(&cats, k),
+                Method::Kpne,
+                budget(k, 4),
+            ),
+            (
+                "space == kpne_cutoff + 1",
+                PlannerConfig {
+                    kpne_cutoff: space - 1,
+                    ..Default::default()
+                },
+                query(&cats, k),
+                Method::Sk,
+                budget(k, 4),
+            ),
+            (
+                "no categories, any cutoff",
+                PlannerConfig {
+                    kpne_cutoff: u64::MAX,
+                    ..Default::default()
+                },
+                query(&[], k),
+                Method::Sk,
+                budget(k, 2),
+            ),
+            (
+                "selectivity == bar, k == dense_k",
+                dense(densest),
+                query(&cats, k),
+                Method::Pk,
+                budget(k, 4),
+            ),
+            (
+                "selectivity == bar, k == dense_k - 1",
+                dense(densest),
+                query(&cats, k - 1),
+                Method::Sk,
+                budget(k - 1, 4),
+            ),
+            (
+                "selectivity one ulp under bar, k == dense_k",
+                dense(f64::from_bits(densest.to_bits() + 1)),
+                query(&cats, k),
+                Method::Sk,
+                budget(k, 4),
+            ),
+            (
+                "budget product overflows",
+                PlannerConfig {
+                    expansion_per_level: u64::MAX / 2,
+                    max_examined: u64::MAX - 1,
+                    ..Default::default()
+                },
+                query(&cats, k),
+                Method::Kpne,
+                u64::MAX - 1,
+            ),
+        ];
+        for (edge, config, q, method, examined_budget) in cases {
+            assert_eq!(
+                QueryPlanner::new(config).plan(&ig, &q),
+                QueryPlan {
+                    method,
+                    examined_budget,
+                    deadline: None,
+                    use_bounds: true,
+                },
+                "{edge}"
             );
         }
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert_eq!(
-            planner.decode_calibration(&trailing),
-            Err(CalibrationBlobError::TrailingBytes(1))
-        );
-        // A refused blob must not have disturbed the learned state.
-        assert_eq!(planner.encode_calibration(), good);
     }
 
     #[test]

@@ -145,9 +145,8 @@ impl LatencyHistogram {
     }
 }
 
-/// The dense counter-slot index of a method — shared by the executor's
-/// per-method histograms and the planner's calibration EWMAs so the two
-/// tables can never disagree on which slot a method owns.
+/// The dense counter-slot index of a method in the executor's per-method
+/// histograms.
 pub(crate) fn method_slot(m: Method) -> usize {
     match m {
         Method::Kpne => 0,
@@ -159,9 +158,9 @@ pub(crate) fn method_slot(m: Method) -> usize {
     }
 }
 
-/// Execution counters of one planner method (`Kpne`/`Pk`/`Sk`) — the
-/// feedback signal planner calibration consumes: observed per-method
-/// latency against the planner's selectivity-based choices. Cache hits are
+/// Execution counters of one planner method (`Kpne`/`Pk`/`Sk`): observed
+/// per-method latency against the planner's selectivity-based choices,
+/// exported through [`crate::ServiceStats`] and `/metrics`. Cache hits are
 /// excluded (they measure the cache, not the method).
 #[derive(Clone, Copy, Debug)]
 pub struct MethodStats {

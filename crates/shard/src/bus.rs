@@ -33,6 +33,7 @@
 
 use std::sync::Arc;
 
+use kosr_core::GraphUpdateError;
 use kosr_graph::{CategoryId, Partition, VertexId};
 use kosr_service::{EventJournal, EventKind, Source, TagValue, Update, UpdateError, UpdateReceipt};
 use kosr_transport::{ReplicaSet, ShardTransport, TransportError};
@@ -181,6 +182,13 @@ impl LiveUpdateBus {
             Update::InsertEdge { from, to, .. } => {
                 check_vertex(from)?;
                 check_vertex(to)?;
+                // Every replica refuses a self-loop; refusing it here too
+                // keeps it out of the log when no replica is reachable.
+                if from == to {
+                    return Err(ShardError::Update(UpdateError::Graph(
+                        GraphUpdateError::SelfLoop,
+                    )));
+                }
             }
         }
 
@@ -345,7 +353,7 @@ impl LiveUpdateBus {
             match self.apply_to_replica(j, set.transport(r).as_ref(), update, &shadow) {
                 Ok(_) => {}
                 Err(TransportError::Update(UpdateError::Graph(
-                    kosr_core::GraphUpdateError::WeightNotDecreased { .. },
+                    GraphUpdateError::WeightNotDecreased { .. },
                 ))) => {} // already in the snapshot the replica joined from
                 Err(e) if e.is_fault() => {
                     set.note_down(r, EventKind::ReplicaDown, None);
@@ -677,6 +685,55 @@ mod tests {
         for j in 0..router.num_shards() {
             assert_eq!(router.shard_service(j).index_epoch(), 0, "untouched");
         }
+    }
+
+    #[test]
+    fn self_loop_is_refused_even_with_the_whole_fleet_down() {
+        // With every replica unreachable nobody can reject the update, so
+        // only the bus's own check keeps it out of the log (where replay
+        // would hit the rejection on every recovery).
+        let fx = figure1();
+        let ig = IndexedGraph::build_default(fx.graph.clone());
+        let partition = Partitioner::new(PartitionConfig {
+            num_shards: 3,
+            ..Default::default()
+        })
+        .partition(&ig.graph);
+        let mut switches = Vec::new();
+        let router = ShardRouter::with_replicas(
+            ShardSet::build(&ig, partition),
+            ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+            1,
+            |_, _, t| {
+                switches.push(t.kill_switch());
+                Arc::new(t)
+            },
+        );
+        let bus = router.update_bus();
+        // Warm the fan-out cache, so validation itself needs no replica.
+        let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 3);
+        router.submit(q).unwrap().wait().unwrap();
+        for s in &switches {
+            s.kill();
+        }
+        assert_eq!(
+            bus.publish(&Update::InsertEdge {
+                from: fx.s,
+                to: fx.s,
+                weight: 1,
+            }),
+            Err(ShardError::Update(UpdateError::Graph(
+                GraphUpdateError::SelfLoop
+            )))
+        );
+        assert_eq!(bus.log_len(), 0);
+        for s in &switches {
+            s.revive();
+        }
+        assert!(bus.recover_all().is_empty());
     }
 
     #[test]

@@ -99,6 +99,7 @@ struct Counters {
     overflows: AtomicU64,
     resyncs_served: AtomicU64,
     recompute_failures: AtomicU64,
+    recompute_rejections: AtomicU64,
 }
 
 /// A point-in-time snapshot of the hub's counters (tests and docs).
@@ -132,6 +133,12 @@ pub struct HubStats {
     pub resyncs_served: u64,
     /// Wake recomputes that failed (session forced to resync).
     pub recompute_failures: u64,
+    /// Wake recomputes the fleet rejected as an invalid query — e.g. the
+    /// update emptied one of its categories. The session resyncs too, and
+    /// its polls report the same typed rejection an unsharded service
+    /// gives until the query is valid again. Not a failure: every replica
+    /// answers it the same way.
+    pub recompute_rejections: u64,
 }
 
 impl HubStats {
@@ -325,6 +332,7 @@ impl SubscriptionHub {
             overflows: r(&c.overflows),
             resyncs_served: r(&c.resyncs_served),
             recompute_failures: r(&c.recompute_failures),
+            recompute_rejections: r(&c.recompute_rejections),
         }
     }
 
@@ -434,16 +442,21 @@ impl SubscriptionHub {
                             }
                         }
                     }
-                    Err(_) => {
+                    Err(e) => {
                         // Can't prove anything about the new top-k:
                         // poison the queue and let poll resync once
-                        // the fleet is reachable again.
+                        // the fleet is reachable (or the query valid)
+                        // again.
                         sub.queue.clear();
                         sub.needs_resync = true;
-                        self.counters
-                            .recompute_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.force_resync(id, "recompute_failed");
+                        let (counter, cause) = match e {
+                            ShardError::Service(ServiceError::InvalidQuery(_)) => {
+                                (&self.counters.recompute_rejections, "query_rejected")
+                            }
+                            _ => (&self.counters.recompute_failures, "recompute_failed"),
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        self.force_resync(id, cause);
                         delivered_something = true;
                     }
                 }
@@ -514,6 +527,12 @@ impl MetricsSource for SubscriptionHub {
             "Sessions forced to full resync, by cause",
             &[("cause", "recompute_failed")],
             s.recompute_failures as f64,
+        );
+        registry.counter(
+            "kosr_sub_resyncs_total",
+            "Sessions forced to full resync, by cause",
+            &[("cause", "query_rejected")],
+            s.recompute_rejections as f64,
         );
     }
 }

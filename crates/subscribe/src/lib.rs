@@ -99,8 +99,8 @@ mod tests {
     use kosr_core::figure1::figure1;
     use kosr_core::{IndexedGraph, Method, Query};
     use kosr_graph::{PartitionConfig, Partitioner};
-    use kosr_service::{ServiceConfig, Update};
-    use kosr_shard::{ShardRouter, ShardSet};
+    use kosr_service::{ServiceConfig, ServiceError, Update};
+    use kosr_shard::{ShardError, ShardRouter, ShardSet};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -265,6 +265,41 @@ mod tests {
         assert!(matches!(
             hub.poll(reply.id, Duration::ZERO),
             PollResponse::Deltas { deltas, .. } if deltas.is_empty()
+        ));
+    }
+
+    #[test]
+    fn emptied_category_is_a_typed_rejection_not_a_failure() {
+        let (router, hub, fx) = fleet();
+        let reply = hub
+            .subscribe(Query::new(fx.s, fx.t, vec![fx.ci], 1))
+            .unwrap();
+        let bus = router.update_bus();
+        let cinemas = fx.graph.categories().vertices_of(fx.ci).to_vec();
+        for &v in &cinemas {
+            bus.publish(&Update::RemoveMembership {
+                vertex: v,
+                category: fx.ci,
+            })
+            .unwrap();
+        }
+        let s = hub.stats();
+        assert_eq!(s.recompute_rejections, 1, "the emptying publish");
+        assert_eq!(s.recompute_failures, 0);
+        // Polls report the rejection an unsharded service gives…
+        match hub.poll(reply.id, Duration::ZERO) {
+            PollResponse::Failed(ShardError::Service(ServiceError::InvalidQuery(_))) => {}
+            other => panic!("expected the typed rejection, got {other:?}"),
+        }
+        // …until the category has a member again.
+        bus.publish(&Update::InsertMembership {
+            vertex: cinemas[0],
+            category: fx.ci,
+        })
+        .unwrap();
+        assert!(matches!(
+            hub.poll(reply.id, Duration::ZERO),
+            PollResponse::Resync { routes, .. } if routes.len() == 1
         ));
     }
 

@@ -359,6 +359,17 @@ impl MuxFaultPlan {
     }
 }
 
+/// How many seeded rounds a property suite runs: `PROPTEST_CASES` when it
+/// is set (at least 2), `default` otherwise. There is no upper bound, so a
+/// deep run gets exactly the count it asks for.
+pub fn cases(default: u64) -> u64 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map(|c: u64| c.max(2))
+        .unwrap_or(default)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

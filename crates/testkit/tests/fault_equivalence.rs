@@ -288,13 +288,7 @@ fn round(seed: u64) {
 
 #[test]
 fn faulted_sharded_topk_matches_unsharded_oracle_bit_for_bit() {
-    // CI trims via PROPTEST_CASES; default covers 4 random worlds.
-    let cases: u64 = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(|c: u64| c.clamp(2, 12))
-        .unwrap_or(4);
-    for seed in 0..cases {
+    for seed in 0..kosr_testkit::cases(4) {
         round(seed);
     }
 }

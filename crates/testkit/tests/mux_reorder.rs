@@ -51,12 +51,7 @@ fn plans_are_deterministic_per_seed_and_cover_every_request() {
 /// completes every slot with exactly its own response.
 #[test]
 fn reordered_interleaved_ids_never_misdeliver() {
-    let cases: u64 = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(|c: u64| c.clamp(8, 64))
-        .unwrap_or(24);
-    for seed in 0..cases {
+    for seed in 0..kosr_testkit::cases(24).max(8) {
         let n = 1 + (seed as usize * 7) % 48;
         let plan = MuxFaultPlan::generate(seed, n, 250, 250);
         let table = Arc::new(DemuxTable::new());

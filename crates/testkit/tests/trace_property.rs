@@ -196,12 +196,7 @@ fn round(seed: u64) {
 
 #[test]
 fn traced_queries_survive_fault_schedules_with_complete_traces() {
-    let cases: u64 = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(|c: u64| c.clamp(2, 8))
-        .unwrap_or(3);
-    for seed in 0..cases {
+    for seed in 0..kosr_testkit::cases(3) {
         round(seed);
     }
 }

@@ -805,7 +805,6 @@ fn put_event_kind(k: EventKind, out: &mut Vec<u8>) {
         EventKind::LogCompacted => 7,
         EventKind::UpdatePublished => 8,
         EventKind::EpochSwap => 9,
-        EventKind::CalibrationAdjusted => 10,
         EventKind::AdmissionRejected => 11,
         EventKind::AlertFiring => 12,
         EventKind::AlertResolved => 13,
@@ -827,7 +826,6 @@ fn get_event_kind(r: &mut Rd) -> Result<EventKind, ProtocolError> {
         7 => EventKind::LogCompacted,
         8 => EventKind::UpdatePublished,
         9 => EventKind::EpochSwap,
-        10 => EventKind::CalibrationAdjusted,
         11 => EventKind::AdmissionRejected,
         12 => EventKind::AlertFiring,
         13 => EventKind::AlertResolved,
@@ -1489,6 +1487,61 @@ mod tests {
         assert!(matches!(
             decode_response(&payload),
             Ok((22, Response::Pong { next_seq: 0, events, .. })) if events.is_empty()
+        ));
+    }
+
+    #[test]
+    fn event_kind_wire_tags_are_pinned() {
+        // Tag 10 stays unassigned: a frame carrying it is refused, never
+        // misread as another kind.
+        const TAGS: [(EventKind, u8); 16] = [
+            (EventKind::ReplicaDown, 0),
+            (EventKind::Failover, 1),
+            (EventKind::ReplicaQuarantined, 2),
+            (EventKind::ReplayRecovered, 3),
+            (EventKind::SnapshotRefreshed, 4),
+            (EventKind::CursorTooOld, 5),
+            (EventKind::RecoveryFailed, 6),
+            (EventKind::LogCompacted, 7),
+            (EventKind::UpdatePublished, 8),
+            (EventKind::EpochSwap, 9),
+            (EventKind::AdmissionRejected, 11),
+            (EventKind::AlertFiring, 12),
+            (EventKind::AlertResolved, 13),
+            (EventKind::SubscriptionCreated, 14),
+            (EventKind::SubscriptionResync, 15),
+            (EventKind::SubscriptionDropped, 16),
+        ];
+        assert_eq!(
+            TAGS.map(|(kind, _)| kind),
+            EventKind::ALL,
+            "every kind pinned"
+        );
+        // The first event's kind byte in a Pong: header, epoch, next_seq,
+        // event count, then the event's seq, wall_ms and severity.
+        const KIND_AT: usize = HEADER_LEN + 8 + 8 + 4 + 8 + 8 + 1;
+        let event = |kind| Event {
+            seq: 1,
+            wall_ms: 2,
+            severity: Severity::Info,
+            source: Source::Service,
+            kind,
+            trace_id: None,
+            tags: Vec::new(),
+        };
+        for (kind, tag) in TAGS {
+            let payload = encode_response(3, &pong(4, 5, vec![event(kind)]));
+            assert_eq!(payload[KIND_AT], tag, "{kind:?}");
+            match decode_response(&payload) {
+                Ok((3, Response::Pong { events, .. })) => assert_eq!(events, vec![event(kind)]),
+                other => panic!("{kind:?}: wrong decode: {other:?}"),
+            }
+        }
+        let mut retired = encode_response(3, &pong(4, 5, vec![event(EventKind::EpochSwap)]));
+        retired[KIND_AT] = 10;
+        assert!(matches!(
+            decode_response(&retired),
+            Err(ProtocolError::Corrupt("unknown event-kind tag"))
         ));
     }
 

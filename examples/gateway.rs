@@ -248,6 +248,30 @@ fn main() {
             std::thread::sleep(Duration::from_millis(10));
         }
     };
+    // /healthz reads replica health directly; the availability alert waits
+    // for a supervisor tick to observe the kill. Reviving before that tick
+    // would heal the replica unobserved, and act 6 would find no alert.
+    {
+        let started = std::time::Instant::now();
+        loop {
+            let alerts = client::call(addr, "GET", "/v1/alerts", None)
+                .unwrap()
+                .json()
+                .unwrap();
+            let firing = alerts.get("firing").unwrap().as_array().unwrap();
+            if firing
+                .iter()
+                .any(|a| a.get("slo").unwrap().as_str() == Some("availability"))
+            {
+                break;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "availability alert never fired on the kill"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
     let metrics_after = client::call(addr, "GET", "/metrics", None).unwrap().text();
     let failovers_after = metric_value(&metrics_after, "kosr_shard_failovers_total");
     assert!(

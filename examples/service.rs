@@ -102,14 +102,14 @@ fn main() {
         queries.len()
     );
 
-    // The aggregate snapshot now includes per-method latency counters —
-    // the observed-cost feedback planner calibration consumes.
+    // The aggregate snapshot now includes per-method latency counters:
+    // how often the planner's rule picked each method, and what it cost.
     println!("{}", service.stats());
     let per_method = service.method_stats();
     let executed: u64 = per_method.iter().map(|m| m.completed).sum();
     for m in &per_method {
         println!(
-            "calibration: {:>8} observed {} runs at p50 {:?} (planner picked it for {:.0}% of executed queries)",
+            "per-method: {:>8} observed {} runs at p50 {:?} (planner picked it for {:.0}% of executed queries)",
             m.method.name(),
             m.completed,
             m.latency_p50,
