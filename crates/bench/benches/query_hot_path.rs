@@ -13,16 +13,36 @@
 //!
 //! Worlds: `1x` is the repo's standard 16×16 grid bench world; `10x` is a
 //! 50×51 grid (~10× the vertices) to show the gap scaling with size.
+//!
+//! Every `*_plain` / `*_bounds` row runs the served entry
+//! (`run_canonical_clocked::<NoClock>`, no per-operation clock reads).
+//! `star_bounds_profiled/10x` runs the same batch as `star_bounds/10x`
+//! under `WallClock`, the clock of the profiled entry `run_canonical_opt`
+//! (Table X's decomposition), so the two medians price the stopwatch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use kosr_core::{IndexedGraph, Method, Query};
+use kosr_core::{Clock, IndexedGraph, Method, NoClock, Query, WallClock};
 use kosr_workloads::{assign_uniform, gen_mixed_traffic, road_grid_directed, TrafficMix};
 
 fn world(w: u32, h: u32, seed: u64) -> IndexedGraph {
     let mut g = road_grid_directed(w, h, seed);
     assign_uniform(&mut g, 6, 20, 5);
     IndexedGraph::build_default(g)
+}
+
+/// Runs the batch under clock `C`, with or without per-query sequence
+/// bounds; returns the examined-routes total.
+fn run_batch<C: Clock>(ig: &IndexedGraph, queries: &[Query], method: Method, bounds: bool) -> u64 {
+    let mut examined = 0u64;
+    for q in queries {
+        let sb = bounds.then(|| ig.seq_bounds(q));
+        examined += ig
+            .run_canonical_clocked::<C>(q, method, u64::MAX, sb.as_ref())
+            .stats
+            .examined_routes;
+    }
+    criterion::black_box(examined)
 }
 
 fn query_hot_path(c: &mut Criterion) {
@@ -42,26 +62,15 @@ fn query_hot_path(c: &mut Criterion) {
             ("star", Method::Sk),
         ] {
             group.bench_function(format!("{mname}_plain/{label}"), |b| {
-                b.iter(|| {
-                    let mut examined = 0u64;
-                    for q in &queries {
-                        examined += ig.run_canonical(q, method, u64::MAX).stats.examined_routes;
-                    }
-                    criterion::black_box(examined)
-                });
+                b.iter(|| run_batch::<NoClock>(&ig, &queries, method, false));
             });
             group.bench_function(format!("{mname}_bounds/{label}"), |b| {
-                b.iter(|| {
-                    let mut examined = 0u64;
-                    for q in &queries {
-                        let sb = ig.seq_bounds(q);
-                        examined += ig
-                            .run_canonical_opt(q, method, u64::MAX, Some(&sb))
-                            .stats
-                            .examined_routes;
-                    }
-                    criterion::black_box(examined)
-                });
+                b.iter(|| run_batch::<NoClock>(&ig, &queries, method, true));
+            });
+        }
+        if label == "10x" {
+            group.bench_function("star_bounds_profiled/10x", |b| {
+                b.iter(|| run_batch::<WallClock>(&ig, &queries, Method::Sk, true));
             });
         }
     }

@@ -22,7 +22,7 @@ use kosr_graph::{inf_add, is_finite, Weight};
 use kosr_index::{NearestNeighbors, SeqBounds, TargetDistance};
 
 use crate::arena::{NodeId, RouteArena};
-use crate::engine::{neighbor, TimedHeap, TimedNn, TimedTarget};
+use crate::engine::{neighbor, Clock, StopRule, TimedHeap, TimedNn, TimedTarget, WallClock};
 use crate::types::{KosrOutcome, Query, QueryStats, Witness};
 
 /// Queue entry: `(key, node, level, x, cost, last_leg)`, min-ordered by
@@ -59,33 +59,36 @@ where
     N: NearestNeighbors,
     T: TargetDistance,
 {
-    kpne_opt(query, nn, target, limit, None)
+    kpne_opt::<WallClock, _, _>(query, nn, target, limit, None, StopRule::AtK)
 }
 
-/// [`kpne_bounded`] with optional remaining-sequence lower bounds: entries
-/// are ordered by `cost + rem[level]` instead of bare cost (fewer pops reach
-/// the k-th emission) and candidates whose bound proves them uncompletable
-/// are dropped at push time (counted in `stats.bound_pruned`). `bounds:
-/// None` reproduces the unpruned search exactly.
-pub fn kpne_opt<N, T>(
+/// [`kpne_bounded`] under clock `C` and stop rule `stop` (see `engine`),
+/// with optional remaining-sequence lower bounds: entries are ordered by
+/// `cost + rem[level]` instead of bare cost (fewer pops reach the k-th
+/// emission) and candidates whose bound proves them uncompletable are
+/// dropped at push time (counted in `stats.bound_pruned`). `bounds: None`
+/// reproduces the unpruned search exactly.
+pub(crate) fn kpne_opt<C, N, T>(
     query: &Query,
     nn: N,
     target: T,
     limit: u64,
     bounds: Option<&SeqBounds>,
+    stop: StopRule,
 ) -> KosrOutcome
 where
+    C: Clock,
     N: NearestNeighbors,
     T: TargetDistance,
 {
     debug_assert_eq!(target.target(), query.target);
     let t0 = Instant::now();
-    let mut nn = TimedNn::new(nn);
-    let mut target = TimedTarget::new(target);
+    let mut nn: TimedNn<N, C> = TimedNn::new(nn);
+    let mut target: TimedTarget<T, C> = TimedTarget::new(target);
     let nn_base = nn.queries();
 
     let mut arena = RouteArena::new();
-    let mut heap: TimedHeap<Entry> = TimedHeap::new();
+    let mut heap: TimedHeap<Entry, C> = TimedHeap::new();
     let mut stats = QueryStats {
         examined_per_level: vec![0; query.witness_len()],
         ..QueryStats::default()
@@ -117,11 +120,7 @@ where
         }
 
         if level == final_level {
-            witnesses.push(Witness {
-                vertices: arena.materialize(node),
-                cost,
-            });
-            if witnesses.len() == query.k {
+            if !stop.emit(&mut witnesses, query.k, cost, || arena.materialize(node)) {
                 break;
             }
             continue; // the dummy category has no further siblings

@@ -48,10 +48,11 @@ mod variants;
 pub use arbitrary::{arbitrary_order_osr, arbitrary_order_topk, ArbitraryOrderStats};
 pub use arena::{NodeId, RouteArena};
 pub use brute::brute_force_topk;
+pub use engine::{Clock, NoClock, WallClock};
 pub use gsp::{gsp, GspEngine, GspStats};
-pub use kpne::{kpne, kpne_bounded, kpne_opt, pne};
-pub use pruning::{pruning_kosr, pruning_kosr_bounded, pruning_kosr_opt};
+pub use kpne::{kpne, kpne_bounded, pne};
+pub use pruning::{pruning_kosr, pruning_kosr_bounded};
 pub use runner::{run_sk_db, GraphUpdateError, IndexedGraph, Method};
-pub use star::{star_kosr, star_kosr_bounded, star_kosr_opt};
+pub use star::{star_kosr, star_kosr_bounded};
 pub use types::{KosrOutcome, Query, QueryError, QueryStats, TimeBreakdown, Witness};
 pub use variants::{no_destination_kosr, no_source_kosr, FilteredNn};

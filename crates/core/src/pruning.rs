@@ -24,7 +24,7 @@ use kosr_graph::{inf_add, is_finite, FxHashMap, VertexId, Weight};
 use kosr_index::{NearestNeighbors, SeqBounds, TargetDistance};
 
 use crate::arena::{NodeId, RouteArena};
-use crate::engine::{neighbor, TimedHeap, TimedNn, TimedTarget};
+use crate::engine::{neighbor, Clock, StopRule, TimedHeap, TimedNn, TimedTarget, WallClock};
 use crate::types::{KosrOutcome, Query, QueryStats, Witness};
 
 /// `x = 0` encodes the paper's `'-'` (no sibling generation on this entry).
@@ -65,32 +65,35 @@ where
     N: NearestNeighbors,
     T: TargetDistance,
 {
-    pruning_kosr_opt(query, nn, target, limit, None)
+    pruning_kosr_opt::<WallClock, _, _>(query, nn, target, limit, None, StopRule::AtK)
 }
 
-/// [`pruning_kosr_bounded`] with optional remaining-sequence lower bounds
+/// [`pruning_kosr_bounded`] under clock `C` and stop rule `stop` (see
+/// `engine`), with optional remaining-sequence lower bounds
 /// (see `kpne_opt`): bound-ordered queue, push-time pruning of provably
 /// uncompletable candidates, `bounds: None` reproduces the unpruned search
 /// exactly.
-pub fn pruning_kosr_opt<N, T>(
+pub(crate) fn pruning_kosr_opt<C, N, T>(
     query: &Query,
     nn: N,
     target: T,
     limit: u64,
     bounds: Option<&SeqBounds>,
+    stop: StopRule,
 ) -> KosrOutcome
 where
+    C: Clock,
     N: NearestNeighbors,
     T: TargetDistance,
 {
     debug_assert_eq!(target.target(), query.target);
     let t0 = Instant::now();
-    let mut nn = TimedNn::new(nn);
-    let mut target = TimedTarget::new(target);
+    let mut nn: TimedNn<N, C> = TimedNn::new(nn);
+    let mut target: TimedTarget<T, C> = TimedTarget::new(target);
     let nn_base = nn.queries();
 
     let mut arena = RouteArena::new();
-    let mut heap: TimedHeap<Entry> = TimedHeap::new();
+    let mut heap: TimedHeap<Entry, C> = TimedHeap::new();
     let mut stats = QueryStats {
         examined_per_level: vec![0; query.witness_len()],
         ..QueryStats::default()
@@ -126,11 +129,7 @@ where
 
         if level == final_level {
             // Lines 6-12: emit and reconsider parked routes along the route.
-            witnesses.push(Witness {
-                vertices: arena.materialize(node),
-                cost,
-            });
-            if witnesses.len() == query.k {
+            if !stop.emit(&mut witnesses, query.k, cost, || arena.materialize(node)) {
                 break;
             }
             for len in 2..=(query.categories.len() + 1) as u16 {

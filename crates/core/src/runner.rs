@@ -13,7 +13,10 @@ use kosr_index::{
     LabelTarget, SeqBounds,
 };
 
-use crate::star::star_kosr;
+use crate::engine::{Clock, StopRule, WallClock};
+use crate::kpne::kpne_opt;
+use crate::pruning::pruning_kosr_opt;
+use crate::star::{star_kosr, star_kosr_opt};
 use crate::types::{KosrOutcome, Query};
 
 /// The KOSR methods evaluated in the paper (Figure 3's legend).
@@ -145,8 +148,8 @@ impl IndexedGraph {
     /// offline category-pair table: `rem[l]` bounds the cost still to pay
     /// by any partial route that has covered `l` categories. Pass the
     /// result to [`Self::run_bounded_opt`] / [`Self::run_canonical_opt`];
-    /// the bounds are `k`-independent, so one assembly serves the canonical
-    /// wrapper's whole refetch loop (and, upstream, the witness cache).
+    /// the bounds are `k`-independent, so one assembly serves any `k`
+    /// (and, upstream, the witness cache).
     pub fn seq_bounds(&self, query: &Query) -> SeqBounds {
         self.bounds
             .seq_bounds(&self.labels, query.source, query.target, &query.categories)
@@ -164,52 +167,41 @@ impl IndexedGraph {
         limit: u64,
         bounds: Option<&SeqBounds>,
     ) -> KosrOutcome {
-        use crate::kpne::kpne_opt;
-        use crate::pruning::pruning_kosr_opt;
-        use crate::star::star_kosr_opt;
+        self.search::<WallClock>(query, method, limit, bounds, StopRule::AtK)
+    }
+
+    /// Dispatches `method` under clock `C` and stop rule `stop`.
+    fn search<C: Clock>(
+        &self,
+        query: &Query,
+        method: Method,
+        limit: u64,
+        bounds: Option<&SeqBounds>,
+        stop: StopRule,
+    ) -> KosrOutcome {
+        let label_nn = || LabelNn::new(&self.labels, &self.inverted);
+        let label_target = || LabelTarget::new(&self.labels, query.target);
+        let dij_nn = || DijkstraNn::new(&self.graph);
+        let dij_target = || DijkstraTarget::new(&self.graph, query.target);
         match method {
-            Method::Kpne => kpne_opt(
-                query,
-                LabelNn::new(&self.labels, &self.inverted),
-                LabelTarget::new(&self.labels, query.target),
-                limit,
-                bounds,
-            ),
-            Method::Pk => pruning_kosr_opt(
-                query,
-                LabelNn::new(&self.labels, &self.inverted),
-                LabelTarget::new(&self.labels, query.target),
-                limit,
-                bounds,
-            ),
-            Method::Sk => star_kosr_opt(
-                query,
-                LabelNn::new(&self.labels, &self.inverted),
-                LabelTarget::new(&self.labels, query.target),
-                limit,
-                bounds,
-            ),
-            Method::KpneDij => kpne_opt(
-                query,
-                DijkstraNn::new(&self.graph),
-                DijkstraTarget::new(&self.graph, query.target),
-                limit,
-                bounds,
-            ),
-            Method::PkDij => pruning_kosr_opt(
-                query,
-                DijkstraNn::new(&self.graph),
-                DijkstraTarget::new(&self.graph, query.target),
-                limit,
-                bounds,
-            ),
-            Method::SkDij => star_kosr_opt(
-                query,
-                DijkstraNn::new(&self.graph),
-                DijkstraTarget::new(&self.graph, query.target),
-                limit,
-                bounds,
-            ),
+            Method::Kpne => {
+                kpne_opt::<C, _, _>(query, label_nn(), label_target(), limit, bounds, stop)
+            }
+            Method::Pk => {
+                pruning_kosr_opt::<C, _, _>(query, label_nn(), label_target(), limit, bounds, stop)
+            }
+            Method::Sk => {
+                star_kosr_opt::<C, _, _>(query, label_nn(), label_target(), limit, bounds, stop)
+            }
+            Method::KpneDij => {
+                kpne_opt::<C, _, _>(query, dij_nn(), dij_target(), limit, bounds, stop)
+            }
+            Method::PkDij => {
+                pruning_kosr_opt::<C, _, _>(query, dij_nn(), dij_target(), limit, bounds, stop)
+            }
+            Method::SkDij => {
+                star_kosr_opt::<C, _, _>(query, dij_nn(), dij_target(), limit, bounds, stop)
+            }
         }
     }
 
@@ -230,16 +222,21 @@ impl IndexedGraph {
     ///   canonical top-k streams, which is what makes sharded execution
     ///   bit-identical to unsharded.
     ///
-    /// Implementation: fetch `k + 1` routes; if the enumeration stopped
-    /// inside the tie group at position `k - 1` (last returned cost still
-    /// equals the k-th cost), geometrically refetch until the group is
-    /// fully enumerated, then sort canonically and truncate. Costs come
-    /// out nondecreasing either way, so the extra work is one spare route
-    /// in the common (tie-free) case.
+    /// Implementation: one search that keeps emitting complete routes
+    /// while they tie the k-th cost and stops at the first that costs
+    /// more. Complete routes pop in nondecreasing cost order (Lemma 4),
+    /// so by then the whole tie group has been emitted; the result is
+    /// sorted canonically and truncated to `k`. Without ties the extra
+    /// work over a plain top-k search is reaching the (k+1)-th complete
+    /// route, which ends the search unemitted. The examined-routes budget
+    /// bounds that one search, and the returned stats count all of it.
     ///
-    /// If the examined-routes budget trips, the (partial, truncated)
-    /// outcome is returned as-is for the caller's admission control to
-    /// surface.
+    /// If the budget trips, the (partial, truncated) outcome is returned
+    /// for the caller's admission control to surface.
+    ///
+    /// This entry is profiled ([`WallClock`]): its stats carry Table X's
+    /// time decomposition. Serving calls
+    /// [`Self::run_canonical_clocked`] with [`crate::NoClock`] instead.
     pub fn run_canonical(&self, query: &Query, method: Method, limit: u64) -> KosrOutcome {
         self.run_canonical_opt(query, method, limit, None)
     }
@@ -255,30 +252,30 @@ impl IndexedGraph {
         limit: u64,
         bounds: Option<&SeqBounds>,
     ) -> KosrOutcome {
+        self.run_canonical_clocked::<WallClock>(query, method, limit, bounds)
+    }
+
+    /// [`Self::run_canonical_opt`] under clock `C`. With
+    /// [`crate::NoClock`] (the serving path) the search reads no clock
+    /// per operation: `stats.time.total` is filled and its three
+    /// components stay zero. Witnesses and every counter are the same
+    /// under either clock.
+    pub fn run_canonical_clocked<C: Clock>(
+        &self,
+        query: &Query,
+        method: Method,
+        limit: u64,
+        bounds: Option<&SeqBounds>,
+    ) -> KosrOutcome {
         if query.k == 0 {
-            // Nothing requested; `run_bounded` would also return nothing,
-            // and the tie-group check below indexes witnesses[k - 1].
+            // Nothing requested; with no k-th cost to close on, the search
+            // would otherwise enumerate every route.
             return KosrOutcome::default();
         }
-        let mut fetch = query.k.saturating_add(1);
-        loop {
-            let mut probe = query.clone();
-            probe.k = fetch;
-            let mut out = self.run_bounded_opt(&probe, method, limit, bounds);
-            if out.stats.truncated {
-                out.witnesses.truncate(query.k);
-                return out;
-            }
-            let n = out.witnesses.len();
-            let tie_group_closed =
-                n < fetch || out.witnesses[n - 1].cost > out.witnesses[query.k - 1].cost;
-            if tie_group_closed {
-                out.witnesses.sort_by(|a, b| a.canonical_cmp(b));
-                out.witnesses.truncate(query.k);
-                return out;
-            }
-            fetch = fetch.saturating_mul(2);
-        }
+        let mut out = self.search::<C>(query, method, limit, bounds, StopRule::CloseTies);
+        out.witnesses.sort_by(|a, b| a.canonical_cmp(b));
+        out.witnesses.truncate(query.k);
+        out
     }
 
     /// Adds `v` to category `c` (the paper's dynamic *category insert*,
@@ -677,6 +674,63 @@ mod tests {
         let out = ig.run_canonical(&q, Method::Sk, 1);
         assert!(out.stats.truncated);
         assert!(out.witnesses.len() <= 6);
+    }
+
+    /// The two fixtures the served/profiled and budget tests run on, each
+    /// at k = 6.
+    fn k6_worlds() -> Vec<(IndexedGraph, Query)> {
+        let fx = figure1();
+        let fig = IndexedGraph::build_default(fx.graph.clone());
+        let fig_q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 6);
+        let (tie, mut tie_q) = tie_world(4);
+        tie_q.k = 6;
+        vec![(fig, fig_q), (tie, tie_q)]
+    }
+
+    #[test]
+    fn served_and_profiled_runs_differ_only_in_the_time_breakdown() {
+        for (ig, q) in k6_worlds() {
+            for m in Method::ALL {
+                let served = ig.run_canonical_clocked::<crate::NoClock>(&q, m, u64::MAX, None);
+                let profiled = ig.run_canonical(&q, m, u64::MAX);
+                assert_eq!(served.witnesses, profiled.witnesses, "{}", m.name());
+                let (s, p) = (&served.stats, &profiled.stats);
+                let counters = |st: &crate::QueryStats| {
+                    (
+                        st.examined_routes,
+                        st.nn_queries,
+                        st.dominated_routes,
+                        st.reconsidered_routes,
+                        st.heap_peak,
+                        st.examined_per_level.clone(),
+                    )
+                };
+                assert_eq!(counters(s), counters(p), "{}", m.name());
+                assert!(s.time.nn.is_zero(), "{}", m.name());
+                assert!(s.time.queue.is_zero(), "{}", m.name());
+                assert!(s.time.estimation.is_zero(), "{}", m.name());
+                assert!(
+                    p.time.nn + p.time.queue + p.time.estimation <= p.time.total,
+                    "{}",
+                    m.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_budget_bounds_the_one_canonical_search() {
+        for (ig, q) in k6_worlds() {
+            for m in Method::ALL {
+                let served = |limit| ig.run_canonical_clocked::<crate::NoClock>(&q, m, limit, None);
+                let full = served(u64::MAX);
+                let e = full.stats.examined_routes;
+                let at_e = served(e);
+                assert!(!at_e.stats.truncated, "{}", m.name());
+                assert_eq!(at_e.witnesses, full.witnesses, "{}", m.name());
+                assert!(served(e - 1).stats.truncated, "{}", m.name());
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use kosr_graph::{is_finite, FxHashMap, VertexId, Weight};
 use kosr_index::{EstimatedNeighbor, NearestNeighbors, NenFinder, SeqBounds, TargetDistance};
 
 use crate::arena::{NodeId, RouteArena};
-use crate::engine::{TimedHeap, TimedNn, TimedTarget};
+use crate::engine::{Clock, StopRule, TimedHeap, TimedNn, TimedTarget, WallClock};
 use crate::types::{KosrOutcome, Query, QueryStats, Witness};
 
 /// `x = 0` encodes the paper's `'-'`.
@@ -76,10 +76,11 @@ where
     N: NearestNeighbors,
     T: TargetDistance,
 {
-    star_kosr_opt(query, nn, target, limit, None)
+    star_kosr_opt::<WallClock, _, _>(query, nn, target, limit, None, StopRule::AtK)
 }
 
-/// [`star_kosr_bounded`] with optional remaining-sequence lower bounds (see
+/// [`star_kosr_bounded`] under clock `C` and stop rule `stop` (see
+/// `engine`), with optional remaining-sequence lower bounds (see
 /// `kpne_opt`). For StarKOSR the bounds act **only** as the whole-query
 /// feasibility gate (`rem[0] = ∞` → return empty without expanding):
 /// unlike KPNE/PruningKOSR, the queue key here cannot be tightened with
@@ -90,26 +91,28 @@ where
 /// grows), so a sibling cheaper than the k-th answer could hide behind a
 /// never-popped predecessor and be lost. `bounds: None` and a feasible
 /// `bounds` both reproduce the plain StarKOSR search exactly.
-pub fn star_kosr_opt<N, T>(
+pub(crate) fn star_kosr_opt<C, N, T>(
     query: &Query,
     nn: N,
     target: T,
     limit: u64,
     bounds: Option<&SeqBounds>,
+    stop: StopRule,
 ) -> KosrOutcome
 where
+    C: Clock,
     N: NearestNeighbors,
     T: TargetDistance,
 {
     debug_assert_eq!(target.target(), query.target);
     let t0 = Instant::now();
-    let mut nn = TimedNn::new(nn);
-    let mut target = TimedTarget::new(target);
+    let mut nn: TimedNn<N, C> = TimedNn::new(nn);
+    let mut target: TimedTarget<T, C> = TimedTarget::new(target);
     let mut nen = NenFinder::new();
     let nn_base = nn.queries();
 
     let mut arena = RouteArena::new();
-    let mut heap: TimedHeap<Entry> = TimedHeap::new();
+    let mut heap: TimedHeap<Entry, C> = TimedHeap::new();
     let mut stats = QueryStats {
         examined_per_level: vec![0; query.witness_len()],
         ..QueryStats::default()
@@ -154,11 +157,7 @@ where
         }
 
         if level == final_level {
-            witnesses.push(Witness {
-                vertices: arena.materialize(node),
-                cost,
-            });
-            if witnesses.len() == query.k {
+            if !stop.emit(&mut witnesses, query.k, cost, || arena.materialize(node)) {
                 break;
             }
             for len in 2..=(query.categories.len() + 1) as u16 {

@@ -143,6 +143,11 @@ impl Witness {
 }
 
 /// Wall-clock decomposition of one query (Table X of the paper).
+///
+/// Profiled runs (clock [`crate::WallClock`]: the paper-semantics entry
+/// points, `run_canonical`, `run_bounded`) fill every field. Served runs
+/// (clock [`crate::NoClock`]) fill `total` only: `nn`, `queue` and
+/// `estimation` stay zero, so `other` equals `total`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TimeBreakdown {
     /// Total query time.

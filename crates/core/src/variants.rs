@@ -22,7 +22,7 @@ use kosr_graph::{CategoryId, FxHashMap, VertexId, Weight};
 use kosr_index::{NearestNeighbors, TargetDistance};
 
 use crate::arena::{NodeId, RouteArena};
-use crate::engine::{neighbor, TimedHeap, TimedNn};
+use crate::engine::{neighbor, NoClock, TimedHeap, TimedNn};
 use crate::types::{KosrOutcome, Query, QueryStats, Witness};
 
 const NO_X: u32 = 0;
@@ -110,7 +110,7 @@ where
     // Reuse the standard machinery by seeding multiple roots at level 0 and
     // treating the member vertex itself as the "source".
     let t0 = Instant::now();
-    let mut nn = TimedNn::new(nn);
+    let mut nn: TimedNn<N, NoClock> = TimedNn::new(nn);
     let nn_base = nn.queries();
     let query = Query::new(
         VertexId(u32::MAX), // placeholder; roots carry the real starts
@@ -119,7 +119,7 @@ where
         k,
     );
     let mut arena = RouteArena::new();
-    let mut heap: TimedHeap<Entry> = TimedHeap::new();
+    let mut heap: TimedHeap<Entry, NoClock> = TimedHeap::new();
     let mut stats = QueryStats {
         examined_per_level: vec![0; categories_rest.len() + 2],
         ..QueryStats::default()
@@ -223,10 +223,10 @@ where
         "a no-destination query needs at least one category"
     );
     let t0 = Instant::now();
-    let mut nn = TimedNn::new(nn);
+    let mut nn: TimedNn<N, NoClock> = TimedNn::new(nn);
     let nn_base = nn.queries();
     let mut arena = RouteArena::new();
-    let mut heap: TimedHeap<Entry> = TimedHeap::new();
+    let mut heap: TimedHeap<Entry, NoClock> = TimedHeap::new();
     let mut stats = QueryStats {
         examined_per_level: vec![0; categories.len() + 1],
         ..QueryStats::default()

@@ -235,7 +235,6 @@ pub struct TargetDistancer {
     target: VertexId,
     lookup: FxHashMap<VertexId, Weight>,
     cache: TimestampedVec<Weight>,
-    cached: TimestampedVec<bool>,
 }
 
 impl TargetDistancer {
@@ -252,7 +251,6 @@ impl TargetDistancer {
             target: t,
             lookup,
             cache: TimestampedVec::new(n, INFINITY),
-            cached: TimestampedVec::new(n, false),
         }
     }
 
@@ -263,7 +261,7 @@ impl TargetDistancer {
 
     /// `dis(v, target)`; memoised per source vertex.
     pub fn distance_from(&mut self, labels: &HopLabels, v: VertexId) -> Weight {
-        if self.cached.get(v.index()) {
+        if self.cache.is_set(v.index()) {
             return self.cache.get(v.index());
         }
         let mut best = INFINITY;
@@ -276,7 +274,6 @@ impl TargetDistancer {
             }
         }
         self.cache.set(v.index(), best);
-        self.cached.set(v.index(), true);
         best
     }
 }

@@ -11,7 +11,8 @@
 //!    budget from the query's shape and category selectivity.
 //! 3. **Cache** — a canonicalised-key LRU returns memoised outcomes for
 //!    repeat queries without touching a worker's search state.
-//! 4. **Execution** — a worker runs `IndexedGraph::run_canonical` against
+//! 4. **Execution** — a worker runs `IndexedGraph::run_canonical_clocked`
+//!    with `NoClock` (one search, no per-operation clock reads) against
 //!    an epoch-stamped snapshot of the index; the outcome travels back
 //!    through the ticket. End-to-end latency (queue wait included) feeds
 //!    the service and per-method histograms.
@@ -29,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use kosr_core::{IndexedGraph, KosrOutcome, Method, Query};
+use kosr_core::{IndexedGraph, KosrOutcome, Method, NoClock, Query};
 use kosr_graph::{CategoryId, VertexId, Weight};
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
@@ -468,7 +469,7 @@ impl Shared {
         if table_hits > 0 {
             self.witness_reuses.fetch_add(table_hits, Ordering::Relaxed);
         }
-        let outcome = ig.run_canonical_opt(
+        let outcome = ig.run_canonical_clocked::<NoClock>(
             &job.query,
             job.plan.method,
             job.plan.examined_budget,

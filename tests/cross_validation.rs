@@ -11,11 +11,17 @@ use proptest::prelude::*;
 
 /// Random digraph + categories, sized for exhaustive verification.
 fn arb_world() -> impl Strategy<Value = (Graph, usize)> {
+    arb_world_weighted(1..30)
+}
+
+/// [`arb_world`] with edge weights drawn from `weights`. A narrow range
+/// (`1..3`) makes equal-cost routes the rule rather than the exception.
+fn arb_world_weighted(weights: std::ops::Range<u64>) -> impl Strategy<Value = (Graph, usize)> {
     (
-        8usize..28,                                                         // vertices
-        proptest::collection::vec((0u32..28, 0u32..28, 1u64..30), 20..110), // edges
-        2usize..4,                                                          // categories
-        proptest::collection::vec(proptest::bits::u8::ANY, 28),             // membership bits
+        8usize..28,                                                        // vertices
+        proptest::collection::vec((0u32..28, 0u32..28, weights), 20..110), // edges
+        2usize..4,                                                         // categories
+        proptest::collection::vec(proptest::bits::u8::ANY, 28),            // membership bits
     )
         .prop_map(|(n, edges, ncats, bits)| {
             let mut b = GraphBuilder::new(n);
@@ -100,6 +106,36 @@ proptest! {
         let a = ig.run(&query, Method::Kpne);
         let b = kpne(&query, DijkstraNn::new(&g), DijkstraTarget::new(&g, t));
         prop_assert_eq!(a.costs(), b.costs());
+    }
+
+    /// Canonical top-k is the brute-force oracle's answer witness for
+    /// witness (vertex tuples, not only costs) in a world where ties are
+    /// everywhere, for every method, with and without sequence bounds; and
+    /// the answer at every smaller k is its prefix.
+    #[test]
+    fn canonical_matches_brute_force_under_ties((g, ncats) in arb_world_weighted(1..3),
+                                                s in 0u32..28, t in 0u32..28,
+                                                perm in 0usize..6, k in 1usize..8) {
+        let n = g.num_vertices() as u32;
+        let (s, t) = (VertexId(s % n), VertexId(t % n));
+        let c1 = CategoryId((perm % ncats) as u32);
+        let c2 = CategoryId(((perm / 2) % ncats) as u32);
+        let query = Query::new(s, t, vec![c1, c2], k);
+
+        let expected = brute_force_topk(&g, &query, 200_000).expect("small world");
+        let ig = IndexedGraph::build_default(g.clone());
+        let sb = ig.seq_bounds(&query);
+        for m in Method::ALL {
+            let out = ig.run_canonical(&query, m, u64::MAX);
+            prop_assert_eq!(&out.witnesses, &expected, "method {}", m.name());
+            let opt = ig.run_canonical_opt(&query, m, u64::MAX, Some(&sb));
+            prop_assert_eq!(&opt.witnesses, &expected, "method {} with bounds", m.name());
+            for k2 in 1..k {
+                let small = ig.run_canonical(&Query { k: k2, ..query.clone() }, m, u64::MAX);
+                let want = &expected[..k2.min(expected.len())];
+                prop_assert_eq!(&small.witnesses[..], want, "method {} at k = {}", m.name(), k2);
+            }
+        }
     }
 
     /// Witness costs are nondecreasing and the k-th bound of Definition 5
