@@ -124,12 +124,6 @@ impl IndexedGraph {
         self.graph.num_vertices()
     }
 
-    /// Selectivity `|V_Ci| / |V|` of category `c`, read from the inverted
-    /// label index (the query-time source of truth for planners).
-    pub fn category_selectivity(&self, c: CategoryId) -> f64 {
-        self.inverted.selectivity(c, self.graph.num_vertices())
-    }
-
     /// Answers `query` with `method`. Providers are constructed fresh per
     /// call, matching the paper's independent-query measurement protocol.
     pub fn run(&self, query: &Query, method: Method) -> KosrOutcome {
@@ -385,7 +379,7 @@ impl IndexedGraph {
     /// Reconstructs an `IndexedGraph` from a snapshot blob: every
     /// structure — graph CSR, labels, category tables, inverted indexes,
     /// bound tables — is sliced straight out of the validated arenas, so
-    /// query results and selectivity stats are preserved exactly. The
+    /// query results and member counts are preserved exactly. The
     /// label build statistics cannot be recovered from a blob; the decoded
     /// index reports its label-entry count with zeroed build effort.
     pub fn decode_snapshot(
@@ -798,8 +792,7 @@ mod tests {
                 m.name()
             );
         }
-        // Inverted indexes and the selectivity stats planners key off are
-        // reproduced exactly.
+        // Inverted indexes are reproduced exactly.
         for c in 0..ig.graph.categories().num_categories() {
             let c = CategoryId(c as u32);
             assert_eq!(back.inverted.members_of(c), ig.inverted.members_of(c));
@@ -807,7 +800,6 @@ mod tests {
                 back.inverted.category(c).num_entries(),
                 ig.inverted.category(c).num_entries()
             );
-            assert_eq!(back.category_selectivity(c), ig.category_selectivity(c));
         }
         assert_eq!(back.label_stats.labels_added, ig.labels.num_entries());
 

@@ -164,8 +164,7 @@ impl CategoryBounds {
     }
 
     /// The target-dependent suffix `rem[1..]` for a category sequence —
-    /// independent of the source, so reusable across queries sharing
-    /// `(categories, target)` (the witness cache's tail key).
+    /// independent of the source.
     pub fn suffix_chain(
         &self,
         labels: &HopLabels,

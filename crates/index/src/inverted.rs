@@ -248,17 +248,6 @@ impl CategoryIndexSet {
         self.indexes.get(c.index()).map_or(0, |il| il.num_members())
     }
 
-    /// Selectivity `|V_Ci| / n` of category `c` against a vertex universe
-    /// of size `n` — the density signal query planners key off: sparse
-    /// categories make NN streams short and favor estimation-guided search.
-    pub fn selectivity(&self, c: CategoryId, num_vertices: usize) -> f64 {
-        if num_vertices == 0 {
-            0.0
-        } else {
-            self.members_of(c) as f64 / num_vertices as f64
-        }
-    }
-
     /// Applies the paper's category-insert update across tables
     /// (`CategoryTable` + inverted index stay in sync).
     pub fn insert_membership(

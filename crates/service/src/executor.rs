@@ -7,8 +7,8 @@
 //!    the graph (typed rejection on bad endpoints / categories / k) and
 //!    refuses when the queue is full, so overload sheds load instead of
 //!    buffering unboundedly.
-//! 2. **Planning** — the [`QueryPlanner`] picks a method and expansion
-//!    budget from the query's shape and category selectivity.
+//! 2. **Planning** — the [`QueryPlanner`] stamps StarKOSR with an
+//!    expansion budget from the query's shape.
 //! 3. **Cache** — a canonicalised-key LRU returns memoised outcomes for
 //!    repeat queries without touching a worker's search state.
 //! 4. **Execution** — a worker runs `IndexedGraph::run_canonical_clocked`
@@ -39,7 +39,6 @@ use crate::events::{EventJournal, EventKind, Source};
 use crate::planner::{QueryPlan, QueryPlanner};
 use crate::stats::{method_slot, LatencyHistogram, MethodStats, ServiceStats};
 use crate::trace::{span_id_for, Span, SpanRing, TagValue, TraceContext};
-use crate::witness::WitnessCache;
 
 /// Service tunables.
 #[derive(Clone, Debug)]
@@ -51,7 +50,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Result-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Planner thresholds.
+    /// Planner tunables: budget, deadline and the bound toggle.
     pub planner: crate::planner::PlannerConfig,
 }
 
@@ -216,7 +215,6 @@ struct ExecProfile {
     nn_queries: u64,
     heap_peak: u64,
     bound_pruned: u64,
-    table_hits: u64,
 }
 
 /// Builds the replica-side span tree: a `replica` root parented under the
@@ -272,7 +270,6 @@ fn build_replica_spans(
             .tag("nn_queries", TagValue::U64(profile.nn_queries))
             .tag("heap_peak", TagValue::U64(profile.heap_peak))
             .tag("bound_prunes", TagValue::U64(profile.bound_pruned))
-            .tag("table_hits", TagValue::U64(profile.table_hits))
             .tag("budget", TagValue::U64(plan.examined_budget))
             .tag("epoch", TagValue::U64(profile.epoch)),
         );
@@ -316,10 +313,6 @@ struct Shared {
     /// when caching is disabled.
     cache_enabled: bool,
     cache: Mutex<ResultCache>,
-    /// Cross-query witness reuse: cached `SeqBounds` fragments keyed by
-    /// `(source, C₁)` and `(categories, target)`. Epoch-guarded
-    /// internally — a fragment never outlives the index it was exact for.
-    witness: Mutex<WitnessCache>,
     /// The oldest upstream update-log sequence still replayable, as told
     /// by `Compact` notices. Monotone; the transport host refuses notices
     /// that would move it backwards (a stale controller's view).
@@ -349,9 +342,6 @@ struct Shared {
     /// Queue pushes dropped because the remaining-sequence bound proved
     /// them uncompletable, summed over every executed query.
     bound_prunes: AtomicU64,
-    /// `SeqBounds` fragments served from the witness cache (0–2 per
-    /// executed query: head and/or tail).
-    witness_reuses: AtomicU64,
 }
 
 impl Shared {
@@ -452,23 +442,10 @@ impl Shared {
 
         let (epoch, ig) = self.index_snapshot();
         let exec_started = Instant::now();
-        // Assemble the query's remaining-sequence bounds through the
-        // witness cache (reusing fragments from earlier queries that share
-        // a head or tail), then run the bound-pruned search. Identical
-        // routes either way — the bounds only change how fast we get them.
-        let (bounds, table_hits) = if job.plan.use_bounds {
-            let (sb, hits) = self
-                .witness
-                .lock()
-                .unwrap()
-                .seq_bounds(epoch, &ig, &job.query);
-            (Some(sb), hits)
-        } else {
-            (None, 0)
-        };
-        if table_hits > 0 {
-            self.witness_reuses.fetch_add(table_hits, Ordering::Relaxed);
-        }
+        // Assemble the query's remaining-sequence bounds, then run the
+        // bound-pruned search. Identical routes either way — the bounds
+        // only change how fast we get them.
+        let bounds = job.plan.use_bounds.then(|| ig.seq_bounds(&job.query));
         let outcome = ig.run_canonical_clocked::<NoClock>(
             &job.query,
             job.plan.method,
@@ -523,7 +500,6 @@ impl Shared {
                             nn_queries: outcome.stats.nn_queries,
                             heap_peak: outcome.stats.heap_peak as u64,
                             bound_pruned: outcome.stats.bound_pruned,
-                            table_hits,
                         },
                     )),
                 },
@@ -590,7 +566,6 @@ impl KosrService {
             queue_capacity: config.queue_capacity.max(1),
             cache_enabled: config.cache_capacity > 0,
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            witness: Mutex::new(WitnessCache::default()),
             log_head: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             events: Arc::new(EventJournal::new(128)),
@@ -606,7 +581,6 @@ impl KosrService {
             rejected_invalid: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             bound_prunes: AtomicU64::new(0),
-            witness_reuses: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -660,7 +634,7 @@ impl KosrService {
     /// The planner's decision for `query` (what execution would do) —
     /// exposed so callers and tests can cross-check plans.
     pub fn plan(&self, query: &Query) -> QueryPlan {
-        self.shared.planner.plan(&self.indexed_graph(), query)
+        self.shared.planner.plan(query)
     }
 
     /// Admission control + enqueue. Returns a [`Ticket`] redeemable for the
@@ -723,7 +697,7 @@ impl KosrService {
             self.shared.rejected_invalid.fetch_add(1, Ordering::Relaxed);
             return Err((ServiceError::InvalidQuery(e), done));
         }
-        let plan = self.shared.planner.plan(&ig, &query);
+        let plan = self.shared.planner.plan(&query);
         let key = CacheKey::canonical(&query);
         let admission_us = elapsed_us(submitted);
 
@@ -1013,7 +987,7 @@ impl KosrService {
             rejected_invalid: s.rejected_invalid.load(Ordering::Relaxed),
             cache_hits: s.cache_hits.load(Ordering::Relaxed),
             bound_prunes: s.bound_prunes.load(Ordering::Relaxed),
-            witness_reuses: s.witness_reuses.load(Ordering::Relaxed),
+            witness_reuses: 0,
             window,
             qps: if window.as_secs_f64() > 0.0 {
                 completed as f64 / window.as_secs_f64()
@@ -1055,7 +1029,7 @@ pub fn run_sequential(
     queries
         .iter()
         .map(|q| {
-            let plan = planner.plan(ig, q);
+            let plan = planner.plan(q);
             if plan.use_bounds {
                 let sb = ig.seq_bounds(q);
                 ig.run_canonical_opt(q, plan.method, plan.examined_budget, Some(&sb))
@@ -1526,7 +1500,7 @@ mod tests {
     }
 
     #[test]
-    fn bound_pruning_and_witness_reuse_are_counted_and_traced() {
+    fn bound_pruning_is_counted_and_traced() {
         use crate::trace::TraceId;
 
         // Cache off so every submission actually executes.
@@ -1553,49 +1527,30 @@ mod tests {
             .unwrap();
         assert!(first.plan.use_bounds, "bounds are on by default");
         assert_eq!(first.outcome.costs(), vec![20, 21, 22]);
-        assert_eq!(tag(&first.spans, "table_hits"), TagValue::U64(0), "cold");
         assert_eq!(
             tag(&first.spans, "bound_prunes"),
             TagValue::U64(first.outcome.stats.bound_pruned)
         );
 
-        // A repeat query reuses both witness fragments (head + tail) and
-        // still answers bit-identically.
+        // A repeat query answers bit-identically, and the service sums the
+        // prunes of both executions.
         let second = svc
             .submit_traced(q.clone(), Some(ctx))
             .unwrap()
             .wait()
             .unwrap();
         assert_eq!(second.outcome.witnesses, first.outcome.witnesses);
-        assert_eq!(tag(&second.spans, "table_hits"), TagValue::U64(2));
+        assert_eq!(
+            tag(&second.spans, "bound_prunes"),
+            TagValue::U64(second.outcome.stats.bound_pruned)
+        );
 
         let stats = svc.stats();
-        assert_eq!(stats.witness_reuses, 2);
         assert_eq!(
             stats.bound_prunes,
             first.outcome.stats.bound_pruned + second.outcome.stats.bound_pruned
         );
-        assert!(stats.to_string().contains("witness-fragment"));
-
-        // An applied update bumps the epoch: no stale fragment is reused.
-        let gone = first.outcome.witnesses[0].vertices[2];
-        svc.apply_update(&Update::RemoveMembership {
-            vertex: gone,
-            category: fx.re,
-        })
-        .unwrap();
-        let third = svc
-            .submit_traced(q.clone(), Some(ctx))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(tag(&third.spans, "table_hits"), TagValue::U64(0));
-        assert_eq!(
-            svc.stats().witness_reuses,
-            2,
-            "epoch guard cleared the cache"
-        );
-        assert_ne!(third.outcome.witnesses, first.outcome.witnesses);
+        assert!(stats.to_string().contains("pruned pushes"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! | piece | role |
 //! |---|---|
-//! | [`QueryPlanner`] / [`QueryPlan`] | picks `Method::{Kpne, Pk, Sk}` + expansion budget from k, \|C\| and category selectivity by a fixed rule: a pure function of index and query |
+//! | [`QueryPlanner`] / [`QueryPlan`] | serves every query with `Method::Sk` (the paper's faster algorithm) and an expansion budget from k and \|C\|: a pure function of the query |
 //! | [`ResultCache`] | canonical-key LRU over complete outcomes, with prefix (`k' < k`) truncation reuse, counters + invalidation hooks |
 //! | [`KosrService`] | bounded submission queue + worker pool + admission control |
 //! | [`Update`] / [`KosrService::apply_update`] | live §IV-C updates: index mutation + epoch bump + cache invalidation |
@@ -49,7 +49,6 @@ mod metrics;
 mod planner;
 mod stats;
 mod trace;
-mod witness;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use error::{ServiceError, UpdateError};
@@ -67,7 +66,6 @@ pub use trace::{
     sample_decision, span_id_for, splitmix64, SlowQueryLog, Span, SpanId, SpanRing, TagValue,
     Trace, TraceContext, TraceId, TraceStore,
 };
-pub use witness::WitnessCache;
 
 // Re-exported so service users don't need a direct kosr-core dependency
 // for the common request/response types.

@@ -362,12 +362,6 @@ impl ServiceStats {
             &l,
             self.bound_prunes as f64,
         );
-        registry.counter(
-            "kosr_witness_reuse_total",
-            "SeqBounds fragments served from the cross-query witness cache",
-            &l,
-            self.witness_reuses as f64,
-        );
         registry.gauge(
             "kosr_service_qps",
             "Completed queries per second over the stats window",
@@ -754,9 +748,6 @@ mod tests {
         assert!(text.contains("kosr_service_method_completed_total{method="));
         assert!(text.contains("kosr_service_qps"));
         assert!(text.contains("kosr_prune_bound_total"));
-        // The repeat submission was a result-cache hit — it never executed,
-        // so no witness fragment was consulted.
-        assert!(text.contains("kosr_witness_reuse_total 0"));
     }
 
     #[test]

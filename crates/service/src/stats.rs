@@ -158,10 +158,10 @@ pub(crate) fn method_slot(m: Method) -> usize {
     }
 }
 
-/// Execution counters of one planner method (`Kpne`/`Pk`/`Sk`): observed
-/// per-method latency against the planner's selectivity-based choices,
-/// exported through [`crate::ServiceStats`] and `/metrics`. Cache hits are
-/// excluded (they measure the cache, not the method).
+/// Execution counters of one served method (the planner serves only
+/// `Sk`): observed per-method latency, exported through
+/// [`crate::ServiceStats`] and `/metrics`. Cache hits are excluded (they
+/// measure the cache, not the method).
 #[derive(Clone, Copy, Debug)]
 pub struct MethodStats {
     /// The method these counters describe.
@@ -197,8 +197,11 @@ pub struct ServiceStats {
     /// Queue pushes dropped across all executed queries because the
     /// remaining-sequence lower bound proved them uncompletable.
     pub bound_prunes: u64,
-    /// `SeqBounds` fragments served from the cross-query witness cache
-    /// (up to two per executed query: head and tail).
+    /// Always 0. It counted hits of a cross-query cache of `SeqBounds`
+    /// fragments, which is deleted: it hit 0 % on every traced workload,
+    /// and each executed query now assembles its own bounds. The field
+    /// stays only because the benchmark's load generator reads it; a
+    /// change to the benchmark removes it.
     pub witness_reuses: u64,
     /// Wall-clock window the stats cover (since start or last reset).
     pub window: Duration,
@@ -263,11 +266,7 @@ impl std::fmt::Display for ServiceStats {
             self.cache.evictions,
             self.cache.entries
         )?;
-        writeln!(
-            f,
-            "bounds: {} pruned pushes, {} witness-fragment reuses",
-            self.bound_prunes, self.witness_reuses
-        )?;
+        writeln!(f, "bounds: {} pruned pushes", self.bound_prunes)?;
         for m in &self.per_method {
             writeln!(
                 f,

@@ -36,7 +36,7 @@ fn baseline(ig: &IndexedGraph, queries: &[Query]) -> Vec<Vec<u64>> {
     queries
         .iter()
         .map(|q| {
-            let plan = planner.plan(ig, q);
+            let plan = planner.plan(q);
             ig.run(q, plan.method).costs()
         })
         .collect()

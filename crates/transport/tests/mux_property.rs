@@ -23,7 +23,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use kosr_core::{IndexedGraph, KosrOutcome, Query, QueryStats};
-use kosr_graph::{CategoryId, VertexId};
+use kosr_graph::{CategoryId, GraphBuilder, VertexId};
 use kosr_service::{KosrService, ServiceConfig};
 use kosr_transport::mux::DemuxTable;
 use kosr_transport::protocol::{
@@ -255,20 +255,37 @@ fn unknown_kinds_and_versions_are_typed_refusals_over_a_real_socket() {
     scripted.join().unwrap();
 }
 
-/// A service over a world where exhaustive KPNE without the bound tables
-/// makes a six-category query take some hundred milliseconds — long
-/// enough to park a worker — while one- and two-category queries stay
-/// quick. Returns it with that slow query.
+/// A service over a world where a six-category query keeps the served
+/// search busy for some hundred milliseconds — long enough to park a
+/// worker — while one-category queries stay quick. Every street of the
+/// 16×16 grid costs 1, so routes tie in cost by the thousand, and the
+/// search must examine every route that ties the k-th before it can
+/// answer (~400,000 of them: 110–120 ms served at opt-level 2).
+/// Returns it with that slow query.
 fn slow_world(workers: usize) -> (Arc<KosrService>, Query) {
-    let mut g = kosr_workloads::road_grid_directed(16, 16, 13);
-    kosr_workloads::assign_uniform(&mut g, 6, 36, 5);
+    let side = 16;
+    let at = |row: u32, col: u32| VertexId(row * side + col);
+    let mut b = GraphBuilder::new((side * side) as usize);
+    for row in 0..side {
+        for col in 0..side {
+            if col + 1 < side {
+                b.add_edge(at(row, col), at(row, col + 1), 1);
+                b.add_edge(at(row, col + 1), at(row, col), 1);
+            }
+            if row + 1 < side {
+                b.add_edge(at(row, col), at(row + 1, col), 1);
+                b.add_edge(at(row + 1, col), at(row, col), 1);
+            }
+        }
+    }
+    let mut g = b.build();
+    kosr_workloads::assign_uniform(&mut g, 6, 42, 5);
     let last = VertexId(g.num_vertices() as u32 - 1);
     let service = Arc::new(KosrService::new(
         Arc::new(IndexedGraph::build_default(g)),
         ServiceConfig {
             workers,
             planner: kosr_service::PlannerConfig {
-                kpne_cutoff: u64::MAX,
                 use_bounds: false,
                 ..Default::default()
             },
