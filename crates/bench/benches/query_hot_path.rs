@@ -6,10 +6,12 @@
 //!   rem[level]`) focuses expansion toward completable sequences; the
 //!   table lookup happens once per query (`seq_bounds`), inside the
 //!   measured window, so the speedup shown is net of that cost.
-//! * `star_*` — StarKOSR keeps its estimate-ordered queue (the sibling
-//!   chain requires it; see `kosr-core::star`) and uses the table only as
-//!   a whole-query feasibility gate, so parity here is the expected
-//!   result, not a regression.
+//! * `star_*` — canonical StarKOSR keeps its estimate-ordered queue (the
+//!   sibling chain requires it; see `kosr-core::star`) and, for `|C| ≥ 2`,
+//!   estimates with exact label potentials, whose backward pass runs
+//!   inside the measured window. The potentials already prove any
+//!   infeasible query at the root, so the table adds only its own lookup:
+//!   `star_bounds` at parity with `star_plain` is the expected result.
 //!
 //! Worlds: `1x` is the repo's standard 16×16 grid bench world; `10x` is a
 //! 50×51 grid (~10× the vertices) to show the gap scaling with size.

@@ -188,6 +188,61 @@ pub fn measure(
     limits: Limits,
 ) -> PointResult {
     let ig = &prep.ig;
+    measure_with(method.name(), queries, limits, |q| match method {
+        Method::Kpne => kpne_bounded(
+            q,
+            LabelNn::new(&ig.labels, &ig.inverted),
+            LabelTarget::new(&ig.labels, q.target),
+            limits.examined_limit,
+        ),
+        Method::Pk => pruning_kosr_bounded(
+            q,
+            LabelNn::new(&ig.labels, &ig.inverted),
+            LabelTarget::new(&ig.labels, q.target),
+            limits.examined_limit,
+        ),
+        Method::Sk => star_kosr_bounded(
+            q,
+            LabelNn::new(&ig.labels, &ig.inverted),
+            LabelTarget::new(&ig.labels, q.target),
+            limits.examined_limit,
+        ),
+        Method::KpneDij => kpne_bounded(
+            q,
+            DijkstraNn::new(&ig.graph),
+            DijkstraTarget::new(&ig.graph, q.target),
+            limits.examined_limit,
+        ),
+        Method::PkDij => pruning_kosr_bounded(
+            q,
+            DijkstraNn::new(&ig.graph),
+            DijkstraTarget::new(&ig.graph, q.target),
+            limits.examined_limit,
+        ),
+        Method::SkDij => star_kosr_bounded(
+            q,
+            DijkstraNn::new(&ig.graph),
+            DijkstraTarget::new(&ig.graph, q.target),
+            limits.examined_limit,
+        ),
+    })
+}
+
+/// Runs StarKOSR as the service does — canonical top-k, exact label
+/// potentials when `|C| ≥ 2` — under the profiled clock, so the time
+/// decomposition's `estimation` carries the potentials' backward pass.
+pub fn measure_served_sk(prep: &Prepared, queries: &[QuerySpec], limits: Limits) -> PointResult {
+    measure_with("SK (served)", queries, limits, |q| {
+        prep.ig.run_canonical(q, Method::Sk, limits.examined_limit)
+    })
+}
+
+fn measure_with(
+    name: &str,
+    queries: &[QuerySpec],
+    limits: Limits,
+    run: impl Fn(&Query) -> KosrOutcome,
+) -> PointResult {
     let start = Instant::now();
     let mut outcomes = Vec::with_capacity(queries.len());
     let mut attempted = 0;
@@ -197,45 +252,7 @@ pub fn measure(
             break;
         }
         attempted += 1;
-        let q = to_query(spec);
-        let out = match method {
-            Method::Kpne => kpne_bounded(
-                &q,
-                LabelNn::new(&ig.labels, &ig.inverted),
-                LabelTarget::new(&ig.labels, q.target),
-                limits.examined_limit,
-            ),
-            Method::Pk => pruning_kosr_bounded(
-                &q,
-                LabelNn::new(&ig.labels, &ig.inverted),
-                LabelTarget::new(&ig.labels, q.target),
-                limits.examined_limit,
-            ),
-            Method::Sk => star_kosr_bounded(
-                &q,
-                LabelNn::new(&ig.labels, &ig.inverted),
-                LabelTarget::new(&ig.labels, q.target),
-                limits.examined_limit,
-            ),
-            Method::KpneDij => kpne_bounded(
-                &q,
-                DijkstraNn::new(&ig.graph),
-                DijkstraTarget::new(&ig.graph, q.target),
-                limits.examined_limit,
-            ),
-            Method::PkDij => pruning_kosr_bounded(
-                &q,
-                DijkstraNn::new(&ig.graph),
-                DijkstraTarget::new(&ig.graph, q.target),
-                limits.examined_limit,
-            ),
-            Method::SkDij => star_kosr_bounded(
-                &q,
-                DijkstraNn::new(&ig.graph),
-                DijkstraTarget::new(&ig.graph, q.target),
-                limits.examined_limit,
-            ),
-        };
+        let out = run(&to_query(spec));
         if out.stats.truncated {
             truncated = true;
             break;
@@ -243,7 +260,7 @@ pub fn measure(
         outcomes.push(out);
     }
     let inf = truncated || outcomes.len() < queries.len().min(3);
-    PointResult::from_outcomes(method.name().to_string(), &outcomes, attempted, inf)
+    PointResult::from_outcomes(name.to_string(), &outcomes, attempted, inf)
 }
 
 /// Runs SK-DB (disk-resident StarKOSR) over a batch.

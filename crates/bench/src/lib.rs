@@ -12,7 +12,7 @@ pub mod harness;
 pub mod parallel;
 
 pub use harness::{
-    format_count, format_ms, measure, measure_gsp, measure_sk_db, prepare_scenario, to_query,
-    Limits, PointResult, Prepared, TextTable,
+    format_count, format_ms, measure, measure_gsp, measure_served_sk, measure_sk_db,
+    prepare_scenario, to_query, Limits, PointResult, Prepared, TextTable,
 };
 pub use parallel::{mean_counters_parallel, run_batch_parallel};

@@ -1,9 +1,9 @@
 //! Shared plumbing for the search algorithms: the stop rule that ends a
-//! search, wrappers around the neighbor provider, the target oracle and the
-//! global priority queue that feed Table X's run-time decomposition, plus
-//! the *dummy destination category* logic — the paper introduces
-//! `C_{|C|+1} = {t}` so that reaching the destination is one more category
-//! extension.
+//! search, wrappers around the neighbor provider, the target oracle, the
+//! StarKOSR estimate and the global priority queue that feed Table X's
+//! run-time decomposition, plus the *dummy destination category* logic —
+//! the paper introduces `C_{|C|+1} = {t}` so that reaching the destination
+//! is one more category extension.
 //!
 //! The wrappers read a [`Clock`] chosen by type parameter. Profiled runs
 //! (the paper-semantics entry points, `repro`'s Table X) use [`WallClock`]
@@ -18,7 +18,7 @@ use std::marker::PhantomData;
 use std::time::Instant;
 
 use kosr_graph::{is_finite, CategoryId, VertexId, Weight};
-use kosr_index::{NearestNeighbors, TargetDistance};
+use kosr_index::{Estimate, NearestNeighbors, TargetDistance};
 
 use crate::types::{Query, Witness};
 
@@ -154,6 +154,44 @@ impl<T: TargetDistance, C: Clock> TargetDistance for TimedTarget<T, C> {
 
     fn target(&self) -> VertexId {
         self.inner.target()
+    }
+}
+
+/// Estimate wrapper accumulating time (StarKOSR's estimation, including
+/// the potentials' backward pass, which runs inside [`Estimate::root`]).
+pub(crate) struct TimedEstimate<E, C> {
+    inner: E,
+    pub nanos: u64,
+    clock: PhantomData<C>,
+}
+
+impl<E: Estimate, C: Clock> TimedEstimate<E, C> {
+    pub fn new(inner: E) -> Self {
+        TimedEstimate {
+            inner,
+            nanos: 0,
+            clock: PhantomData,
+        }
+    }
+}
+
+impl<E: Estimate, C: Clock> Estimate for TimedEstimate<E, C> {
+    const EXACT: bool = E::EXACT;
+
+    fn root(&mut self, s: VertexId) -> Weight {
+        C::time(&mut self.nanos, || self.inner.root(s))
+    }
+
+    fn remaining(&mut self, level: usize, v: VertexId) -> Weight {
+        C::time(&mut self.nanos, || self.inner.remaining(level, v))
+    }
+
+    fn stream(level: usize, c: CategoryId) -> u32 {
+        E::stream(level, c)
+    }
+
+    fn floor(&mut self, level: usize, v: VertexId) -> (Weight, Weight) {
+        self.inner.floor(level, v)
     }
 }
 

@@ -10,7 +10,7 @@ use kosr_hoplabel::{BuildStats, HopLabels, HubOrder, IncrementalUpdater, LabelSe
 use kosr_index::disk::DiskIndex;
 use kosr_index::{
     CategoryBounds, CategoryIndexSet, DijkstraNn, DijkstraTarget, InvertedStats, LabelNn,
-    LabelTarget, SeqBounds,
+    LabelPotentials, LabelTarget, SeqBounds, ToTarget,
 };
 
 use crate::engine::{Clock, StopRule, WallClock};
@@ -142,8 +142,7 @@ impl IndexedGraph {
     /// offline category-pair table: `rem[l]` bounds the cost still to pay
     /// by any partial route that has covered `l` categories. Pass the
     /// result to [`Self::run_bounded_opt`] / [`Self::run_canonical_opt`];
-    /// the bounds are `k`-independent, so one assembly serves any `k`
-    /// (and, upstream, the witness cache).
+    /// the bounds are `k`-independent, so one assembly serves any `k`.
     pub fn seq_bounds(&self, query: &Query) -> SeqBounds {
         self.bounds
             .seq_bounds(&self.labels, query.source, query.target, &query.categories)
@@ -184,18 +183,42 @@ impl IndexedGraph {
             Method::Pk => {
                 pruning_kosr_opt::<C, _, _>(query, label_nn(), label_target(), limit, bounds, stop)
             }
-            Method::Sk => {
-                star_kosr_opt::<C, _, _>(query, label_nn(), label_target(), limit, bounds, stop)
+            // Canonical StarKOSR runs under exact potentials. With one
+            // category `dis(·, t)` already is the remainder at its only
+            // level; the pass would add just the root and the pull floor,
+            // which cost more than they save.
+            Method::Sk if stop == StopRule::CloseTies && query.categories.len() >= 2 => {
+                let est = LabelPotentials::new(
+                    &self.labels,
+                    &self.inverted,
+                    self.graph.categories(),
+                    query.target,
+                    &query.categories,
+                );
+                star_kosr_opt::<C, _, _>(query, label_nn(), est, limit, bounds, stop)
             }
+            Method::Sk => star_kosr_opt::<C, _, _>(
+                query,
+                label_nn(),
+                ToTarget(label_target()),
+                limit,
+                bounds,
+                stop,
+            ),
             Method::KpneDij => {
                 kpne_opt::<C, _, _>(query, dij_nn(), dij_target(), limit, bounds, stop)
             }
             Method::PkDij => {
                 pruning_kosr_opt::<C, _, _>(query, dij_nn(), dij_target(), limit, bounds, stop)
             }
-            Method::SkDij => {
-                star_kosr_opt::<C, _, _>(query, dij_nn(), dij_target(), limit, bounds, stop)
-            }
+            Method::SkDij => star_kosr_opt::<C, _, _>(
+                query,
+                dij_nn(),
+                ToTarget(dij_target()),
+                limit,
+                bounds,
+                stop,
+            ),
         }
     }
 
@@ -224,6 +247,12 @@ impl IndexedGraph {
     /// work over a plain top-k search is reaching the (k+1)-th complete
     /// route, which ends the search unemitted. The examined-routes budget
     /// bounds that one search, and the returned stats count all of it.
+    ///
+    /// StarKOSR here estimates with exact label potentials
+    /// ([`kosr_index::LabelPotentials`]) when `|C| ≥ 2`, where the
+    /// paper-semantics entry points use `dis(·, t)`: the same answer for
+    /// far less search (see `crate::star`). Its stats count a query the
+    /// potentials prove infeasible as one `bound_pruned`.
     ///
     /// If the budget trips, the (partial, truncated) outcome is returned
     /// for the caller's admission control to surface.

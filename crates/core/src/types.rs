@@ -156,7 +156,8 @@ pub struct TimeBreakdown {
     pub nn: std::time::Duration,
     /// Time maintaining the global priority queue.
     pub queue: std::time::Duration,
-    /// Time spent computing `dis(·, t)` estimates (StarKOSR only).
+    /// Time spent on StarKOSR's estimates (StarKOSR only): `dis(·, t)`
+    /// lookups, or the exact potentials' backward pass and lookups.
     pub estimation: std::time::Duration,
     /// `total - nn - queue - estimation`.
     pub other: std::time::Duration,

@@ -154,33 +154,19 @@ impl CategoryBounds {
         target: VertexId,
         cats: &[CategoryId],
     ) -> SeqBounds {
-        if cats.is_empty() {
+        let Some((&first, _)) = cats.split_first() else {
             return SeqBounds {
                 rem: vec![labels.distance(source, target), 0],
             };
-        }
-        let to_first = self.to_category(labels, source, cats[0]);
-        SeqBounds::from_parts(to_first, self.suffix_chain(labels, target, cats))
-    }
-
-    /// The target-dependent suffix `rem[1..]` for a category sequence —
-    /// independent of the source.
-    pub fn suffix_chain(
-        &self,
-        labels: &HopLabels,
-        target: VertexId,
-        cats: &[CategoryId],
-    ) -> Vec<Weight> {
+        };
         let m = cats.len();
-        let mut rem = vec![0; m + 1];
-        if m == 0 {
-            return rem;
+        let mut rem = vec![0; m + 2];
+        rem[m] = self.from_category(labels, cats[m - 1], target);
+        for l in (1..m).rev() {
+            rem[l] = inf_add(self.pair(cats[l - 1], cats[l]), rem[l + 1]);
         }
-        rem[m - 1] = self.from_category(labels, cats[m - 1], target);
-        for l in (0..m - 1).rev() {
-            rem[l] = inf_add(self.pair(cats[l], cats[l + 1]), rem[l + 1]);
-        }
-        rem
+        rem[0] = inf_add(self.to_category(labels, source, first), rem[1]);
+        SeqBounds { rem }
     }
 
     /// Relaxes the table after `v` joined category `c`: min-merges the new
@@ -272,15 +258,6 @@ pub struct SeqBounds {
 }
 
 impl SeqBounds {
-    /// Builds `rem` from the source-side head (`dis(s → C₁)`) and the
-    /// source-independent suffix chain `rem[1..]` (length `m + 1`).
-    pub fn from_parts(to_first: Weight, suffix: Vec<Weight>) -> Self {
-        let mut rem = Vec::with_capacity(suffix.len() + 1);
-        rem.push(inf_add(to_first, suffix[0]));
-        rem.extend(suffix);
-        Self { rem }
-    }
-
     /// Lower bound on the remaining cost from a level-`level` node.
     pub fn remaining(&self, level: u16) -> Weight {
         self.rem[level as usize]
@@ -295,11 +272,6 @@ impl SeqBounds {
     /// True when even the best imaginable completion is unreachable.
     pub fn infeasible(&self) -> bool {
         !is_finite(self.rem[0])
-    }
-
-    /// The source-independent tail `rem[1..]` (witness-cache payload).
-    pub fn suffix(&self) -> &[Weight] {
-        &self.rem[1..]
     }
 }
 
@@ -387,15 +359,32 @@ mod tests {
     }
 
     #[test]
-    fn suffix_chain_is_source_independent_and_recombines() {
+    fn seq_bounds_chain_the_table_rows() {
         let (g, labels) = world();
         let bounds = CategoryBounds::build(&labels, g.categories());
-        let cats = [c(0), c(1)];
-        let chain = bounds.suffix_chain(&labels, v(5), &cats);
-        let direct = bounds.seq_bounds(&labels, v(0), v(5), &cats);
-        assert_eq!(direct.suffix(), &chain[..]);
-        let recombined = SeqBounds::from_parts(bounds.to_category(&labels, v(0), cats[0]), chain);
-        assert_eq!(recombined, direct);
+        let cats = [c(0), c(1), c(0)];
+        let sb = bounds.seq_bounds(&labels, v(0), v(5), &cats);
+        // rem[l] = LB(c_l → c_{l+1}) + rem[l+1], ending in dis(c_m → t)
+        // and starting from dis(s → c_1).
+        assert_eq!(sb.remaining(4), 0);
+        assert_eq!(sb.remaining(3), bounds.from_category(&labels, c(0), v(5)));
+        assert_eq!(
+            sb.remaining(2),
+            inf_add(bounds.pair(c(1), c(0)), sb.remaining(3))
+        );
+        assert_eq!(
+            sb.remaining(1),
+            inf_add(bounds.pair(c(0), c(1)), sb.remaining(2))
+        );
+        assert_eq!(
+            sb.root(),
+            inf_add(bounds.to_category(&labels, v(0), c(0)), sb.remaining(1))
+        );
+        // Only rem[0] depends on the source.
+        let other = bounds.seq_bounds(&labels, v(2), v(5), &cats);
+        for l in 1..=4 {
+            assert_eq!(other.remaining(l), sb.remaining(l), "rem[{l}]");
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   by [`LabelNn`] (inverted-index streams) and [`DijkstraNn`] (the `*-Dij`
 //!   baselines' resumable searches).
 //! * [`NenFinder`] — `FindNEN` (Algorithm 4): nearest *estimated* neighbors
-//!   ordered by `dis(v,u) + dis(u,t)` for StarKOSR.
+//!   ordered by `dis(v,u)` plus StarKOSR's [`Estimate`] at `u`.
+//! * [`Estimate`] — what StarKOSR adds to a route's cost: the paper's
+//!   `dis(·, t)` ([`ToTarget`]) or exact label potentials
+//!   ([`LabelPotentials`], one backward pass over the query's categories).
 //! * [`TargetDistance`] — fixed-destination oracles ([`LabelTarget`],
 //!   [`DijkstraTarget`]) behind the A* estimation.
 //! * [`disk`] — the SK-DB on-disk layout (per-category segments + offset
@@ -30,6 +33,7 @@ pub mod disk;
 mod inverted;
 mod nen;
 mod nn;
+mod potential;
 pub mod snapshot;
 mod target;
 
@@ -37,4 +41,5 @@ pub use bounds::{CategoryBounds, SeqBounds};
 pub use inverted::{CategoryIndexSet, HubList, InvertedLabelIndex, InvertedStats};
 pub use nen::{EstimatedNeighbor, NenFinder};
 pub use nn::{DijkstraNn, LabelNn, NearestNeighbors};
+pub use potential::{Estimate, LabelPotentials, ToTarget};
 pub use target::{DijkstraTarget, LabelTarget, TargetDistance};

@@ -1,16 +1,33 @@
 //! `FindNEN` (Algorithm 4): the x-th **nearest estimated neighbor** — the
-//! member `u` of a category with the x-th smallest `dis(v,u) + dis(u,t)`.
+//! member `u` of a category with the x-th smallest `dis(v, u) + est(u)`,
+//! where `est` is StarKOSR's [`Estimate`] at `u`'s level.
 //!
 //! StarKOSR extends routes through nearest *estimated* neighbors so that its
 //! priority queue can be ordered by admissible total estimates (§IV-B). The
 //! stream is produced by pulling plain nearest neighbors (`FindNN`) only
-//! while they might still beat the best already-buffered estimate: once
-//! `dis(v, ln) ≥ min_{u ∈ ENQ} (dis(v,u) + dis(u,t))` every unseen member
-//! must estimate worse, so the buffered minimum can be emitted.
+//! while they might still beat the best already-buffered estimate. The
+//! pull rule compares a lower bound on every unseen member's estimate with
+//! the buffered minimum `me`, and stops pulling once the bound reaches it:
 //!
-//! Members that cannot reach the destination (`dis(u,t) = ∞`) are skipped:
-//! no feasible route can be completed through them (Definition 4), so they
-//! can never appear in a top-k answer.
+//! ```text
+//! pull while  max(dis(v, ln) + floor, at_v) < me
+//! ```
+//!
+//! Unseen members are at least as far as the last pulled neighbor `ln`, and
+//! each estimate is at least `floor`, the least estimate in the category, and
+//! at least `at_v`, the estimate at `v` itself (the estimate is consistent).
+//! Under the paper's `dis(·, t)` both are 0, which is Algorithm 4's
+//! `dis(v, ln) < me`. Under exact potentials they are `min over Cᵢ of hᵢ`
+//! and `hᵢ₋₁(v)`; the second lets a stream emit its best member as soon as
+//! that member attains `v`'s own remainder, without pulling further.
+//!
+//! Streams are memoised per `(v, key)`: the key is the category under
+//! `dis(·, t)`, and the level under potentials, whose remainder differs
+//! between two occurrences of one category.
+//!
+//! Members whose estimate is infinite are skipped: no feasible route can be
+//! completed through them (Definition 4), so they can never appear in a
+//! top-k answer.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,6 +35,7 @@ use std::collections::BinaryHeap;
 use kosr_graph::{is_finite, CategoryId, FxHashMap, VertexId, Weight};
 
 use crate::nn::NearestNeighbors;
+use crate::potential::{Estimate, ToTarget};
 use crate::target::TargetDistance;
 
 /// An emitted estimated neighbor.
@@ -27,7 +45,7 @@ pub struct EstimatedNeighbor {
     pub vertex: VertexId,
     /// `dis(v, vertex)` — the real cost increment.
     pub dist: Weight,
-    /// `dis(v, vertex) + dis(vertex, t)` — the estimate used for ordering.
+    /// `dis(v, vertex) + est(vertex)` — the estimate used for ordering.
     pub estimate: Weight,
 }
 
@@ -43,7 +61,7 @@ enum Ln {
     Exhausted,
 }
 
-/// Per-(v, C) stream state: `ENL`, `ENQ`, `ln` and the NN cursor.
+/// Per-stream state: `ENL`, `ENQ`, `ln`, the NN cursor and the pull floor.
 #[derive(Clone, Debug, Default)]
 struct NenState {
     /// `ENL`: estimated neighbors already emitted, ascending estimate.
@@ -53,12 +71,14 @@ struct NenState {
     ln: Ln,
     /// 1-based index of the next `FindNN` to pull.
     next_x: usize,
+    /// [`Estimate::floor`] for this stream.
+    floor: (Weight, Weight),
 }
 
-/// Memoised `FindNEN` streams for one query (one state per `(v, C)`).
+/// Memoised `FindNEN` streams for one query (one state per `(v, key)`).
 #[derive(Debug, Default)]
 pub struct NenFinder {
-    states: FxHashMap<(VertexId, CategoryId), NenState>,
+    states: FxHashMap<(VertexId, u32), NenState>,
 }
 
 impl NenFinder {
@@ -67,8 +87,9 @@ impl NenFinder {
         NenFinder::default()
     }
 
-    /// The `x`-th (1-based) nearest estimated neighbor of `v` in `c`, or
-    /// `None` when fewer than `x` members can reach both `v` and the target.
+    /// The `x`-th (1-based) nearest estimated neighbor of `v` in `c` under
+    /// the paper's estimate `dis(u, t)`, or `None` when fewer than `x`
+    /// members can reach both `v` and the target.
     pub fn find_nen<N: NearestNeighbors, T: TargetDistance>(
         &mut self,
         nn: &mut N,
@@ -77,42 +98,62 @@ impl NenFinder {
         c: CategoryId,
         x: usize,
     ) -> Option<EstimatedNeighbor> {
+        self.find_nen_at(nn, &mut ToTarget(oracle), v, 1, c, x)
+    }
+
+    /// The `x`-th (1-based) nearest estimated neighbor of `v` among the
+    /// members of `c`, which sits at `level` of the sequence, under `est`;
+    /// `None` when fewer than `x` members have a finite estimate.
+    pub fn find_nen_at<N: NearestNeighbors, E: Estimate>(
+        &mut self,
+        nn: &mut N,
+        est: &mut E,
+        v: VertexId,
+        level: usize,
+        c: CategoryId,
+        x: usize,
+    ) -> Option<EstimatedNeighbor> {
         debug_assert!(x >= 1, "x is 1-based");
-        let state = self.states.entry((v, c)).or_default();
-        // Lines 4-5: memoised hit.
-        if state.enl.len() >= x {
-            return Some(state.enl[x - 1]);
-        }
+        let state = self
+            .states
+            .entry((v, E::stream(level, c)))
+            .or_insert_with(|| NenState {
+                floor: est.floor(level, v),
+                ..NenState::default()
+            });
+        // Lines 4-5: a memoised hit skips the loop.
         while state.enl.len() < x {
-            Self::compute_next(state, nn, oracle, v, c)?;
+            Self::compute_next(state, nn, est, v, level, c)?;
         }
         Some(state.enl[x - 1])
     }
 
-    fn compute_next<N: NearestNeighbors, T: TargetDistance>(
+    fn compute_next<N: NearestNeighbors, E: Estimate>(
         state: &mut NenState,
         nn: &mut N,
-        oracle: &mut T,
+        est: &mut E,
         v: VertexId,
+        level: usize,
         c: CategoryId,
     ) -> Option<EstimatedNeighbor> {
         // Lines 6-9: pull NNs while an unseen member could still beat the
         // buffered minimum estimate.
+        let (floor, at_v) = state.floor;
         loop {
             let min_est = state.enq.peek().map(|Reverse((e, _, _))| *e);
             let pull = match (state.ln, min_est) {
                 (Ln::Exhausted, _) => false,
                 (Ln::NotStarted, _) => true,
                 (Ln::Pending(_, _), None) => true,
-                (Ln::Pending(_, d), Some(me)) => d < me,
+                (Ln::Pending(_, d), Some(me)) => d.saturating_add(floor).max(at_v) < me,
             };
             if !pull {
                 break;
             }
             if let Ln::Pending(m, d) = state.ln {
-                let dt = oracle.to_target(m);
-                if is_finite(dt) {
-                    state.enq.push(Reverse((d.saturating_add(dt), m, d)));
+                let h = est.remaining(level, m);
+                if is_finite(h) {
+                    state.enq.push(Reverse((d.saturating_add(h), m, d)));
                 }
                 state.ln = Ln::NotStarted; // consumed; replaced below
             }
@@ -123,11 +164,11 @@ impl NenFinder {
             };
         }
         // Lines 10-12: emit the buffered minimum.
-        let Reverse((est, m, d)) = state.enq.pop()?;
+        let Reverse((estimate, m, d)) = state.enq.pop()?;
         let out = EstimatedNeighbor {
             vertex: m,
             dist: d,
-            estimate: est,
+            estimate,
         };
         state.enl.push(out);
         Some(out)
@@ -222,6 +263,55 @@ mod tests {
                             .is_none(),
                         "seed {seed} s {s} t {t}: stream must end"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potential_streams_are_per_level_and_match_brute_force() {
+        use crate::potential::{Estimate, LabelPotentials};
+        use kosr_graph::INFINITY;
+        for seed in 0..4 {
+            let (g, labels, inverted) = setup(seed);
+            let cat = CategoryId(0);
+            let members = g.categories().vertices_of(cat);
+            let cats = [cat, cat];
+            for t in (1..36u32).step_by(7) {
+                // h₂(w) = dis(w, t); h₁(u) = min over w of dis(u, w) + h₂(w).
+                let h2 = |w: VertexId| labels.distance(w, v(t));
+                let h1 = |u: VertexId| {
+                    members
+                        .iter()
+                        .map(|&w| labels.distance(u, w).saturating_add(h2(w)))
+                        .min()
+                        .unwrap_or(INFINITY)
+                        .min(INFINITY)
+                };
+                // A source in the category is a tail at level 0 and, having
+                // covered C₁ = A, at level 1: both levels stream A from it,
+                // under different remainders.
+                for &from in members.iter().step_by(3) {
+                    let mut est =
+                        LabelPotentials::new(&labels, &inverted, g.categories(), v(t), &cats);
+                    est.root(from);
+                    let mut nn = LabelNn::new(&labels, &inverted);
+                    let mut finder = NenFinder::new();
+                    for (level, h) in [(1, &h1 as &dyn Fn(VertexId) -> Weight), (2, &h2)] {
+                        let mut want: Vec<Weight> = members
+                            .iter()
+                            .map(|&u| labels.distance(from, u).saturating_add(h(u)))
+                            .filter(|&e| kosr_graph::is_finite(e))
+                            .collect();
+                        want.sort_unstable();
+                        let got: Vec<Weight> = (1..)
+                            .map_while(|x| {
+                                finder.find_nen_at(&mut nn, &mut est, from, level, cat, x)
+                            })
+                            .map(|e| e.estimate)
+                            .collect();
+                        assert_eq!(got, want, "seed {seed} s {from:?} t {t} level {level}");
+                    }
                 }
             }
         }

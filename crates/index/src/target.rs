@@ -21,6 +21,16 @@ pub trait TargetDistance {
     fn target(&self) -> VertexId;
 }
 
+impl<T: TargetDistance + ?Sized> TargetDistance for &mut T {
+    fn to_target(&mut self, v: VertexId) -> Weight {
+        (**self).to_target(v)
+    }
+
+    fn target(&self) -> VertexId {
+        (**self).target()
+    }
+}
+
 /// Label-backed oracle.
 pub struct LabelTarget<'a> {
     labels: &'a HopLabels,

@@ -442,15 +442,13 @@ impl Shared {
 
         let (epoch, ig) = self.index_snapshot();
         let exec_started = Instant::now();
-        // Assemble the query's remaining-sequence bounds, then run the
-        // bound-pruned search. Identical routes either way — the bounds
-        // only change how fast we get them.
-        let bounds = job.plan.use_bounds.then(|| ig.seq_bounds(&job.query));
+        // No bound table: served StarKOSR proves a query infeasible itself
+        // (an infinite root potential, counted in `stats.bound_pruned`).
         let outcome = ig.run_canonical_clocked::<NoClock>(
             &job.query,
             job.plan.method,
             job.plan.examined_budget,
-            bounds.as_ref(),
+            None,
         );
         let exec_us = elapsed_us(exec_started);
         self.busy_micros.fetch_add(exec_us, Ordering::Relaxed);
@@ -1030,12 +1028,7 @@ pub fn run_sequential(
         .iter()
         .map(|q| {
             let plan = planner.plan(q);
-            if plan.use_bounds {
-                let sb = ig.seq_bounds(q);
-                ig.run_canonical_opt(q, plan.method, plan.examined_budget, Some(&sb))
-            } else {
-                ig.run_canonical(q, plan.method, plan.examined_budget)
-            }
+            ig.run_canonical(q, plan.method, plan.examined_budget)
         })
         .collect()
 }
@@ -1551,6 +1544,32 @@ mod tests {
             first.outcome.stats.bound_pruned + second.outcome.stats.bound_pruned
         );
         assert!(stats.to_string().contains("pruned pushes"));
+    }
+
+    #[test]
+    fn infeasible_queries_are_refused_at_the_root_and_counted() {
+        // 0 → 1 → 2 with A = {1}, B = {0}: nothing in B follows A.
+        let mut b = kosr_graph::GraphBuilder::new(3);
+        b.add_edge(VertexId(0), VertexId(1), 1);
+        b.add_edge(VertexId(1), VertexId(2), 1);
+        let a = b.categories_mut().add_category("A");
+        let bb = b.categories_mut().add_category("B");
+        b.categories_mut().insert(VertexId(1), a);
+        b.categories_mut().insert(VertexId(0), bb);
+        let svc = KosrService::new(
+            Arc::new(IndexedGraph::build_default(b.build())),
+            ServiceConfig {
+                workers: 1,
+                cache_capacity: 0,
+                ..Default::default()
+            },
+        );
+        let q = Query::new(VertexId(0), VertexId(2), vec![a, bb], 3);
+        let resp = svc.submit(q).unwrap().wait().unwrap();
+        assert!(resp.outcome.witnesses.is_empty());
+        assert_eq!(resp.outcome.stats.bound_pruned, 1);
+        assert_eq!(resp.outcome.stats.examined_routes, 0);
+        assert_eq!(svc.stats().bound_prunes, 1);
     }
 
     #[test]

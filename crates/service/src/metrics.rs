@@ -358,7 +358,7 @@ impl ServiceStats {
         );
         registry.counter(
             "kosr_prune_bound_total",
-            "Queue pushes dropped by the remaining-sequence lower bound",
+            "Queries refused without a search as provably infeasible",
             &l,
             self.bound_prunes as f64,
         );

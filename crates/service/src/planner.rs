@@ -38,12 +38,14 @@ pub struct PlannerConfig {
     /// Default wall-clock deadline stamped on plans (queue wait included);
     /// `None` admits queries with no deadline.
     pub deadline: Option<Duration>,
-    /// When `true` (the default), executions run with the index's
-    /// inter-category lower-bound tables: the search queue is ordered by
-    /// `cost + remaining-sequence bound` and provably uncompletable
-    /// candidates are pruned at push time. Results are bit-identical
-    /// either way (the bounds are admissible and consistent); the toggle
-    /// exists for A/B measurement and as an escape hatch.
+    /// When `true` (the default), the shard router reads the index's
+    /// inter-category lower-bound tables for each shard's rewritten query:
+    /// it skips a shard they prove infeasible and admits the shard's
+    /// stream to the merge at their bound. It gates only those router
+    /// reads: executions never read the tables, since served StarKOSR's
+    /// exact root potential decides feasibility itself. Results are
+    /// bit-identical either way; the toggle exists for A/B measurement and
+    /// as an escape hatch.
     pub use_bounds: bool,
 }
 
@@ -70,8 +72,8 @@ pub struct QueryPlan {
     pub examined_budget: u64,
     /// Wall-clock deadline for the query (submit → response), if any.
     pub deadline: Option<Duration>,
-    /// Run with remaining-sequence lower bounds (bound-ordered queue +
-    /// push-time pruning). See [`PlannerConfig::use_bounds`].
+    /// Let the shard router read the bound tables. See
+    /// [`PlannerConfig::use_bounds`].
     pub use_bounds: bool,
 }
 

@@ -194,12 +194,13 @@ pub struct ServiceStats {
     pub rejected_invalid: u64,
     /// Completions served from the result cache.
     pub cache_hits: u64,
-    /// Queue pushes dropped across all executed queries because the
-    /// remaining-sequence lower bound proved them uncompletable.
+    /// Executed queries refused without a search because their root
+    /// estimate proved no feasible route exists (`QueryStats::bound_pruned`
+    /// summed over executions).
     pub bound_prunes: u64,
     /// Always 0. It counted hits of a cross-query cache of `SeqBounds`
     /// fragments, which is deleted: it hit 0 % on every traced workload,
-    /// and each executed query now assembles its own bounds. The field
+    /// and served queries now assemble no bounds at all. The field
     /// stays only because the benchmark's load generator reads it; a
     /// change to the benchmark removes it.
     pub witness_reuses: u64,

@@ -4,7 +4,9 @@
 //! correctness net: it exercises PLL labels, inverted indexes, FindNN,
 //! FindNEN, the dominance bookkeeping and the A* ordering all at once.
 
-use kosr::core::{brute_force_topk, kpne, pruning_kosr, star_kosr, IndexedGraph, Method, Query};
+use kosr::core::{
+    brute_force_topk, kpne, pruning_kosr, star_kosr, IndexedGraph, Method, NoClock, Query,
+};
 use kosr::graph::{CategoryId, Graph, GraphBuilder, VertexId};
 use kosr::index::{DijkstraNn, DijkstraTarget};
 use proptest::prelude::*;
@@ -44,6 +46,72 @@ fn arb_world_weighted(weights: std::ops::Range<u64>) -> impl Strategy<Value = (G
             }
             (b.build(), ncats)
         })
+}
+
+/// Served StarKOSR (canonical, no clock, exact label potentials when
+/// `|C| ≥ 2`) against the brute-force oracle, witness for witness, with
+/// every smaller k giving the answer's prefix. `picks` draws 1–3 categories
+/// with repeats, so the potentials' per-level tables are exercised where a
+/// category recurs with a different remainder.
+fn assert_served_sk_matches_brute_force(
+    g: &Graph,
+    ncats: usize,
+    (s, t): (u32, u32),
+    picks: &[u32],
+    k: usize,
+) {
+    let n = g.num_vertices() as u32;
+    let (s, t) = (VertexId(s % n), VertexId(t % n));
+    let cats: Vec<CategoryId> = picks
+        .iter()
+        .map(|&c| CategoryId(c % ncats as u32))
+        .collect();
+    let query = Query::new(s, t, cats, k);
+    let expected = brute_force_topk(g, &query, 200_000).expect("small world");
+    let ig = IndexedGraph::build_default(g.clone());
+    let served = |k| {
+        ig.run_canonical_clocked::<NoClock>(
+            &Query { k, ..query.clone() },
+            Method::Sk,
+            u64::MAX,
+            None,
+        )
+    };
+    let out = served(k);
+    assert_eq!(out.witnesses, expected, "{query:?}");
+    assert_eq!(
+        out.stats.bound_pruned,
+        u64::from(query.categories.len() >= 2 && expected.is_empty()),
+        "an infinite root is a bound prune: {query:?}"
+    );
+    for k2 in 1..k {
+        let want = &expected[..k2.min(expected.len())];
+        assert_eq!(&served(k2).witnesses[..], want, "{query:?} at k = {k2}");
+    }
+}
+
+proptest! {
+    // Cheap cases; a repeated category at two levels of one stream, the
+    // case the per-level tables exist for, needs a few hundred to show.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Canonical SK with potentials vs brute force, in a world of ties.
+    #[test]
+    fn served_sk_matches_brute_force_under_ties((g, ncats) in arb_world_weighted(1..3),
+                                                st in (0u32..28, 0u32..28),
+                                                picks in proptest::collection::vec(0u32..3, 1..4),
+                                                k in 1usize..7) {
+        assert_served_sk_matches_brute_force(&g, ncats, st, &picks, k);
+    }
+
+    /// Canonical SK with potentials vs brute force, with spread weights.
+    #[test]
+    fn served_sk_matches_brute_force((g, ncats) in arb_world_weighted(1..30),
+                                     st in (0u32..28, 0u32..28),
+                                     picks in proptest::collection::vec(0u32..3, 1..4),
+                                     k in 1usize..7) {
+        assert_served_sk_matches_brute_force(&g, ncats, st, &picks, k);
+    }
 }
 
 proptest! {
