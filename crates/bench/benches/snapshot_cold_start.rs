@@ -3,12 +3,14 @@
 //!
 //! * `encode_v2` — serializing the index into the blob.
 //! * `decode_install_v2` — one whole-length check, then bounds-checked
-//!   reinterpretation of the CSR slabs; the inverted indexes and bound
-//!   tables travel inside the blob, so nothing is rebuilt.
+//!   reinterpretation of the CSR slabs; the inverted indexes travel inside
+//!   the blob, so nothing is rebuilt (the lower-bound tables are not
+//!   shipped: the installed index builds them only if asked).
 //!
-//! The keys keep their `BENCH_8.json` spelling (`_v2` is the blob's format
-//! byte) so the ledger history stays comparable; the rebuild-on-install
-//! format they were measured against there no longer exists.
+//! The keys keep their `BENCH_8.json` spelling (`_v2` was the blob's
+//! format byte then; it is 3 since the bound tables left the blob) so the
+//! ledger history stays comparable; the rebuild-on-install format they
+//! were measured against there no longer exists.
 //!
 //! Worlds: `1x` is the repo's standard 16×16 grid bench world; `10x` is a
 //! 50×51 grid (~10× the vertices).

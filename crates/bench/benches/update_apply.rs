@@ -5,9 +5,10 @@
 //! every iteration) spread over all categories:
 //!
 //! * `quiescent` — [`KosrService::apply_update`] with nobody else holding
-//!   the index: the floor, i.e. the inverted-index and bound-table
-//!   maintenance plus the copy-on-write of the touched category's
-//!   sections.
+//!   the index: the floor, i.e. the inverted-index maintenance (the
+//!   paper's `O(|Lin(v)|)` work on one `IL(Cᵢ)`) plus the copy-on-write of
+//!   the touched category's sections. No bound tables are maintained:
+//!   updates drop them.
 //! * `held_snapshot` — the same applies while a reader holds a snapshot
 //!   of the served index, as every in-flight query does. This is the
 //!   number that must track `quiescent`: the held snapshot shares the

@@ -13,9 +13,7 @@ use kosr_core::{
 use kosr_graph::Graph;
 use kosr_hoplabel::HubOrder;
 use kosr_index::disk::DiskIndex;
-use kosr_index::{
-    CategoryBounds, CategoryIndexSet, DijkstraNn, DijkstraTarget, LabelNn, LabelTarget,
-};
+use kosr_index::{BoundTables, CategoryIndexSet, DijkstraNn, DijkstraTarget, LabelNn, LabelTarget};
 use kosr_workloads::{QuerySpec, Scenario, ScenarioName};
 
 /// A scenario with all indexes built, ready for measurement.
@@ -59,7 +57,6 @@ impl Prepared {
         assign(&mut graph);
         let (inverted, inverted_stats) =
             CategoryIndexSet::build_with_stats(&self.ig.labels, graph.categories());
-        let bounds = CategoryBounds::build(&self.ig.labels, graph.categories());
         Prepared {
             scenario: self.scenario.clone(),
             ig: IndexedGraph {
@@ -68,7 +65,7 @@ impl Prepared {
                 inverted,
                 label_stats: self.ig.label_stats,
                 inverted_stats,
-                bounds,
+                bounds: BoundTables::default(),
             },
             ch: self.ch.clone(),
             ch_build: self.ch_build,

@@ -9,8 +9,8 @@ use kosr_graph::{CategoryId, Graph, VertexId, Weight};
 use kosr_hoplabel::{BuildStats, HopLabels, HubOrder, IncrementalUpdater, LabelSet};
 use kosr_index::disk::DiskIndex;
 use kosr_index::{
-    CategoryBounds, CategoryIndexSet, DijkstraNn, DijkstraTarget, InvertedStats, LabelNn,
-    LabelPotentials, LabelTarget, SeqBounds, ToTarget,
+    BoundTables, CategoryBounds, CategoryIndexSet, DijkstraNn, DijkstraTarget, InvertedStats,
+    LabelNn, LabelPotentials, LabelTarget, SeqBounds, ToTarget,
 };
 
 use crate::engine::{Clock, StopRule, WallClock};
@@ -69,16 +69,19 @@ impl Method {
 /// everything the in-memory methods need.
 ///
 /// The index is a struct of **independently shared sections**: the CSR
-/// slabs, the 2-hop labels, and — per category — the member list, the
-/// inverted label index and the bound-table virtual sets each sit behind
-/// their own `Arc`. `clone()` therefore copies pointers, and the dynamic
-/// updates below copy-on-write only what they touch: a membership flip
-/// re-allocates the touched category's sections (the paper's §IV-C
-/// `O(|Lin(v)|)` work on one `IL(Ci)`), never the graph, the labels or
-/// another category. That is what the serving layer's versioned updates
-/// and the shard replica builds rely on: a held clone never changes
-/// underfoot, and holding one costs only the sections later updates
-/// replace.
+/// slabs, the 2-hop labels, and — per category — the member list and the
+/// inverted label index each sit behind their own `Arc`. `clone()`
+/// therefore copies pointers, and the dynamic updates below copy-on-write
+/// only what they touch: a membership flip re-allocates the touched
+/// category's sections (the paper's §IV-C `O(|Lin(v)|)` work on one
+/// `IL(Ci)`), never the graph, the labels or another category. That is
+/// what the serving layer's versioned updates and the shard replica
+/// builds rely on: a held clone never changes underfoot, and holding one
+/// costs only the sections later updates replace.
+///
+/// The category-pair lower-bound tables are not a maintained section:
+/// they are built on first use ([`Self::bound_tables`]) and every update
+/// that changes the index drops them.
 #[derive(Clone)]
 pub struct IndexedGraph {
     /// The underlying graph.
@@ -87,9 +90,11 @@ pub struct IndexedGraph {
     pub labels: Arc<HopLabels>,
     /// Per-category inverted label indexes.
     pub inverted: CategoryIndexSet,
-    /// Offline inter-category lower-bound tables (exact min member-pair
-    /// distances), maintained through every live update.
-    pub bounds: CategoryBounds,
+    /// Inter-category lower-bound tables (exact min member-pair
+    /// distances) for this index version: empty until
+    /// [`Self::bound_tables`] or [`Self::seq_bounds`] builds them, and
+    /// replaced by an empty cell on every update that changes the index.
+    pub bounds: BoundTables,
     /// Label preprocessing statistics (Table IX, top half).
     pub label_stats: BuildStats,
     /// Inverted-index preprocessing statistics (Table IX, bottom half).
@@ -102,12 +107,11 @@ impl IndexedGraph {
         let (labels, label_stats) = kosr_hoplabel::build_with_stats(&graph, order);
         let (inverted, inverted_stats) =
             CategoryIndexSet::build_with_stats(&labels, graph.categories());
-        let bounds = CategoryBounds::build(&labels, graph.categories());
         IndexedGraph {
             graph,
             labels: Arc::new(labels),
             inverted,
-            bounds,
+            bounds: BoundTables::default(),
             label_stats,
             inverted_stats,
         }
@@ -138,13 +142,20 @@ impl IndexedGraph {
         self.run_bounded_opt(query, method, limit, None)
     }
 
+    /// The category-pair lower-bound tables of this index version, built
+    /// on the first call (see [`kosr_index::BoundTables`]).
+    pub fn bound_tables(&self) -> &CategoryBounds {
+        self.bounds.get(&self.labels, self.graph.categories())
+    }
+
     /// Assembles the remaining-sequence lower bounds for `query` from the
-    /// offline category-pair table: `rem[l]` bounds the cost still to pay
-    /// by any partial route that has covered `l` categories. Pass the
-    /// result to [`Self::run_bounded_opt`] / [`Self::run_canonical_opt`];
-    /// the bounds are `k`-independent, so one assembly serves any `k`.
+    /// category-pair tables (built on first use): `rem[l]` bounds the cost
+    /// still to pay by any partial route that has covered `l` categories.
+    /// Pass the result to [`Self::run_bounded_opt`] /
+    /// [`Self::run_canonical_opt`]; the bounds are `k`-independent, so one
+    /// assembly serves any `k`.
     pub fn seq_bounds(&self, query: &Query) -> SeqBounds {
-        self.bounds
+        self.bound_tables()
             .seq_bounds(&self.labels, query.source, query.target, &query.categories)
     }
 
@@ -303,7 +314,8 @@ impl IndexedGraph {
 
     /// Adds `v` to category `c` (the paper's dynamic *category insert*,
     /// §IV-C), keeping the category table and the inverted label index in
-    /// sync. Returns `true` if the membership was newly created.
+    /// sync and dropping the bound tables. Returns `true` if the
+    /// membership was newly created.
     ///
     /// # Panics
     /// Panics if `v` or `c` is out of range — callers (the service's
@@ -313,15 +325,14 @@ impl IndexedGraph {
             self.inverted
                 .insert_membership(&self.labels, self.graph.categories_mut(), v, c);
         if changed {
-            // Inserts only lower true inter-category distances: relax the
-            // bound table in place (row/column `c` recomputed exactly).
-            self.bounds.insert_member(&self.labels, v, c);
+            self.bounds = BoundTables::default();
         }
         changed
     }
 
     /// Removes `v` from category `c` (the paper's dynamic *category
-    /// remove*, §IV-C). Returns `true` if the membership existed.
+    /// remove*, §IV-C), dropping the bound tables. Returns `true` if the
+    /// membership existed.
     ///
     /// # Panics
     /// Panics if `v` or `c` is out of range.
@@ -330,11 +341,7 @@ impl IndexedGraph {
             self.inverted
                 .remove_membership(&self.labels, self.graph.categories_mut(), v, c);
         if changed {
-            // Removal can *raise* true minima, which a stored minimum
-            // cannot track entry-wise — rebuild the affected row/column
-            // from the surviving members to stay exact (and admissible).
-            self.bounds
-                .remove_member(&self.labels, self.graph.categories(), c);
+            self.bounds = BoundTables::default();
         }
         changed
     }
@@ -348,8 +355,9 @@ impl IndexedGraph {
     /// 2. the 2-hop labels are repaired in place by
     ///    [`IncrementalUpdater::insert_edge`] (resumed pruned Dijkstras —
     ///    no full rebuild),
-    /// 3. the inverted label indexes are rebuilt from the repaired labels
-    ///    **only if** any label entry actually changed.
+    /// 3. the inverted label indexes are rebuilt from the repaired labels,
+    ///    and the bound tables dropped, **only if** any label entry
+    ///    actually changed.
     ///
     /// Returns the number of label entries added. Weight *increases* are
     /// rejected — decremental label maintenance is an open problem (§IV-C
@@ -382,11 +390,9 @@ impl IndexedGraph {
         let added = updater.insert_edge(&self.graph, Arc::make_mut(&mut self.labels), a, b, w);
         if added > 0 {
             // Inverted lists mirror members' Lin labels; repair by rebuild
-            // (grouping existing label entries — no graph searches). The
-            // bound tables are derived from the same labels, so rebuild
-            // them from the repaired labels in the same stroke.
+            // (grouping existing label entries — no graph searches).
             self.inverted = CategoryIndexSet::build(&self.labels, self.graph.categories());
-            self.bounds = CategoryBounds::build(&self.labels, self.graph.categories());
+            self.bounds = BoundTables::default();
         }
         Ok(added)
     }
@@ -399,15 +405,16 @@ impl IndexedGraph {
     /// Serializes the full index into one flat-arena snapshot blob
     /// ([`kosr_index::arena`]) — what the shard transport ships to a cold
     /// replica joining a shard. The blob carries the inverted label
-    /// indexes and the bound tables too, so installing it is a
-    /// bounds-checked reinterpretation with no rebuild of any kind.
+    /// indexes too, so installing it is a bounds-checked reinterpretation
+    /// with no rebuild; the bound tables are not shipped (the installed
+    /// index builds them on demand).
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        kosr_index::arena::encode(&self.graph, &self.labels, &self.inverted, &self.bounds)
+        kosr_index::arena::encode(&self.graph, &self.labels, &self.inverted)
     }
 
     /// Reconstructs an `IndexedGraph` from a snapshot blob: every
-    /// structure — graph CSR, labels, category tables, inverted indexes,
-    /// bound tables — is sliced straight out of the validated arenas, so
+    /// structure — graph CSR, labels, category tables, inverted indexes —
+    /// is sliced straight out of the validated arenas, so
     /// query results and member counts are preserved exactly. The
     /// label build statistics cannot be recovered from a blob; the decoded
     /// index reports its label-entry count with zeroed build effort.
@@ -415,7 +422,7 @@ impl IndexedGraph {
         bytes: &[u8],
     ) -> Result<IndexedGraph, kosr_index::snapshot::SnapshotError> {
         let start = std::time::Instant::now();
-        let (graph, labels, inverted, bounds) = kosr_index::arena::decode(bytes)?;
+        let (graph, labels, inverted) = kosr_index::arena::decode(bytes)?;
         // The accepted header already carries the fleet-wide list and
         // entry totals; reading them back beats re-walking the
         // per-category hash maps the decode just built.
@@ -442,7 +449,7 @@ impl IndexedGraph {
             graph,
             labels: Arc::new(labels),
             inverted,
-            bounds,
+            bounds: BoundTables::default(),
             label_stats,
             inverted_stats,
         })
@@ -875,5 +882,37 @@ mod tests {
             Err(GraphUpdateError::VertexOutOfRange(_))
         ));
         assert!(GraphUpdateError::SelfLoop.to_string().contains("loop"));
+    }
+
+    #[test]
+    fn bound_tables_are_built_on_demand_and_dropped_by_updates() {
+        let fx = figure1();
+        let mut ig = IndexedGraph::build_default(fx.graph.clone());
+        let fresh = |ig: &IndexedGraph| CategoryBounds::build(&ig.labels, ig.graph.categories());
+        assert_eq!(ig.bounds.size_bytes(), 0, "the build leaves them unbuilt");
+        assert_eq!(*ig.bound_tables(), fresh(&ig));
+        assert!(ig.bounds.size_bytes() > 0);
+
+        let gone = fx.graph.categories().vertices_of(fx.re)[0];
+        let mall = fx.graph.categories().vertices_of(fx.ma)[0];
+        for name in ["insert_membership", "remove_membership", "insert_edge"] {
+            // A clone shares the cell, so its first read builds the
+            // tables of the state both hold.
+            let held = ig.clone();
+            let before = held.bound_tables().clone();
+            match name {
+                "insert_membership" => assert!(ig.insert_membership(fx.s, fx.ci)),
+                "remove_membership" => assert!(ig.remove_membership(gone, fx.re)),
+                _ => assert!(ig.insert_edge(fx.s, mall, 1).unwrap() > 0),
+            }
+            assert_eq!(ig.bounds.size_bytes(), 0, "{name} drops the tables");
+            assert_ne!(fresh(&ig), before, "{name} must change the tables");
+            assert_eq!(*ig.bound_tables(), fresh(&ig), "{name}");
+            assert_eq!(
+                *held.bound_tables(),
+                before,
+                "{name}: the clone keeps its own"
+            );
+        }
     }
 }

@@ -33,9 +33,9 @@
 //! * *Feasibility.* `h₀(s)` is the optimal sequenced route's cost, infinite
 //!   exactly when no feasible route exists. An infinite root ends the search
 //!   empty and counts as a bound prune, the verdict the `SeqBounds` gate
-//!   gives, so served queries need no bound table. A finite root is the
-//!   cost of the first complete route the search pops (checked in debug
-//!   builds).
+//!   gives, so served queries never build the category-pair tables: they
+//!   stay unbuilt on every serving replica. A finite root is the cost of
+//!   the first complete route the search pops (checked in debug builds).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

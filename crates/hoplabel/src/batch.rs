@@ -68,18 +68,6 @@ pub fn min_join(out: &LabelSet, inn: &LabelSet) -> Weight {
     }
 }
 
-/// Merges `extra` into `acc` keeping the per-hub minimum — the incremental
-/// (relax-only) form of [`min_union`] used when one member joins an
-/// already-summarised category. Every entry of `acc` can only decrease or
-/// gain neighbours, never increase. Returns `true` if `acc` changed.
-pub fn min_merge_into(acc: &mut LabelSet, extra: &LabelSet) -> bool {
-    let mut changed = false;
-    for (h, d) in extra.iter() {
-        changed |= acc.insert(h, d);
-    }
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,15 +118,5 @@ mod tests {
         );
         // No common hub → INFINITY.
         assert_eq!(min_join(l.lout(v(0)), &virt_in), INFINITY);
-    }
-
-    #[test]
-    fn min_merge_into_relaxes_and_reports_change() {
-        let l = world();
-        let mut acc = min_union([l.lin(v(1))]);
-        assert!(min_merge_into(&mut acc, l.lin(v(3))));
-        assert_eq!(acc, min_union([l.lin(v(1)), l.lin(v(3))]));
-        // Re-merging the same set is a no-op.
-        assert!(!min_merge_into(&mut acc, l.lin(v(3))));
     }
 }

@@ -1,4 +1,5 @@
-//! Inter-category lower-bound tables — offline "transfer" precomputation.
+//! Inter-category lower-bound tables — the "transfer" precomputation,
+//! built on demand.
 //!
 //! For every ordered category pair `(cᵢ, cⱼ)` the table stores
 //!
@@ -24,19 +25,19 @@
 //! is monotone along generation and best-first order on it still completes
 //! routes in true cost order — pruned runs stay bit-identical to unpruned.
 //!
-//! **Maintenance invariant** (§IV-C live updates): every stored entry must
-//! stay `≤` the true current inter-category distance. Membership inserts
-//! *relax* (min-merge the new member's labels in, then recompute the
-//! affected row/column — values only decrease). Membership removals and
-//! edge insertions can tighten true distances in ways a stored minimum
-//! cannot track entry-wise, so the affected rows (or the whole table, for
-//! edge updates that repair labels) are **rebuilt** instead. Either way the
-//! table is always exact, which is the strongest form of admissible.
+//! **Built on demand.** The tables are a library feature — the searches
+//! that take [`SeqBounds`] read them (PruningKOSR and KPNE order their
+//! queues by them); served StarKOSR decides feasibility from its exact
+//! root potential instead. So an index carries them as [`BoundTables`]:
+//! built on first use from the index version it belongs to, and dropped
+//! (never patched) by every update that changes that version. A table,
+//! once built, is therefore exact for its version, which is the strongest
+//! form of admissible.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use kosr_graph::{inf_add, is_finite, CategoryId, CategoryTable, VertexId, Weight};
-use kosr_hoplabel::batch::{min_join, min_merge_into, min_union};
+use kosr_hoplabel::batch::{min_join, min_union};
 use kosr_hoplabel::{HopLabels, LabelSet};
 
 /// Below this many total memberships the build runs single-threaded — the
@@ -72,20 +73,15 @@ fn map_parallel<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync
     out
 }
 
-/// The offline category-pair lower-bound table plus the per-category
-/// virtual label sets it is derived from (kept so source/target-side
-/// bounds and incremental maintenance don't re-touch member labels).
-///
-/// Every category's virtual sets and the pair table sit behind their own
-/// `Arc`: `clone()` copies pointers, and maintenance on a shared value
-/// re-allocates only the touched category's two sets plus the (`ncats²`
-/// words) table. A held clone never changes underfoot.
+/// The category-pair lower-bound table plus the per-category virtual
+/// label sets it is derived from (kept so source/target-side bounds don't
+/// re-touch member labels).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CategoryBounds {
-    lin_min: Vec<Arc<LabelSet>>,
-    lout_min: Vec<Arc<LabelSet>>,
+    lin_min: Vec<LabelSet>,
+    lout_min: Vec<LabelSet>,
     /// Row-major `ncats × ncats`: `table[i * ncats + j] = LB[cᵢ][cⱼ]`.
-    table: Arc<Vec<Weight>>,
+    table: Vec<Weight>,
 }
 
 impl CategoryBounds {
@@ -95,20 +91,16 @@ impl CategoryBounds {
     pub fn build(labels: &HopLabels, categories: &CategoryTable) -> Self {
         let n = categories.num_categories();
         let parallel = categories.num_memberships() >= PARALLEL_BUILD_MEMBERSHIPS;
-        let virtuals = map_parallel(n, parallel, |c| {
+        let (lin_min, lout_min): (Vec<LabelSet>, Vec<LabelSet>) = map_parallel(n, parallel, |c| {
             let members = categories.vertices_of(CategoryId(c as u32));
             (
                 min_union(members.iter().map(|&v| labels.lin(v))),
                 min_union(members.iter().map(|&v| labels.lout(v))),
             )
-        });
-        let mut lin_min = Vec::with_capacity(n);
-        let mut lout_min = Vec::with_capacity(n);
-        for (lin, lout) in virtuals {
-            lin_min.push(Arc::new(lin));
-            lout_min.push(Arc::new(lout));
-        }
-        let table: Vec<Weight> = map_parallel(n, parallel, |i| {
+        })
+        .into_iter()
+        .unzip();
+        let table = map_parallel(n, parallel, |i| {
             lin_min
                 .iter()
                 .map(|lin| min_join(&lout_min[i], lin))
@@ -120,7 +112,7 @@ impl CategoryBounds {
         Self {
             lin_min,
             lout_min,
-            table: Arc::new(table),
+            table,
         }
     }
 
@@ -169,73 +161,6 @@ impl CategoryBounds {
         SeqBounds { rem }
     }
 
-    /// Relaxes the table after `v` joined category `c`: min-merges the new
-    /// member's labels into the virtual sets, then recomputes row and
-    /// column `c` (entries can only decrease, so this stays exact).
-    pub fn insert_member(&mut self, labels: &HopLabels, v: VertexId, c: CategoryId) {
-        let ci = c.0 as usize;
-        let lin_changed = min_merge_into(Arc::make_mut(&mut self.lin_min[ci]), labels.lin(v));
-        let lout_changed = min_merge_into(Arc::make_mut(&mut self.lout_min[ci]), labels.lout(v));
-        if lin_changed || lout_changed {
-            self.recompute_row_col(ci);
-        }
-    }
-
-    /// Rebuilds category `c`'s virtual sets from its *current* roster
-    /// (call after the [`CategoryTable`] removal) and recomputes row and
-    /// column `c`. Removal can raise true minima, so entry-wise relaxation
-    /// is impossible — the row rebuild keeps the table exact.
-    pub fn remove_member(&mut self, labels: &HopLabels, categories: &CategoryTable, c: CategoryId) {
-        let ci = c.0 as usize;
-        let members = categories.vertices_of(c);
-        self.lin_min[ci] = Arc::new(min_union(members.iter().map(|&v| labels.lin(v))));
-        self.lout_min[ci] = Arc::new(min_union(members.iter().map(|&v| labels.lout(v))));
-        self.recompute_row_col(ci);
-    }
-
-    fn recompute_row_col(&mut self, ci: usize) {
-        let n = self.num_categories();
-        let table = Arc::make_mut(&mut self.table);
-        for j in 0..n {
-            table[ci * n + j] = min_join(&self.lout_min[ci], &self.lin_min[j]);
-            table[j * n + ci] = min_join(&self.lout_min[j], &self.lin_min[ci]);
-        }
-    }
-
-    /// Per-category virtual `Lin` sets, in category order (snapshot
-    /// encoding).
-    pub fn lin_min_sets(&self) -> impl Iterator<Item = &LabelSet> + Clone {
-        self.lin_min.iter().map(|set| &**set)
-    }
-
-    /// Per-category virtual `Lout` sets, in category order (snapshot
-    /// encoding).
-    pub fn lout_min_sets(&self) -> impl Iterator<Item = &LabelSet> + Clone {
-        self.lout_min.iter().map(|set| &**set)
-    }
-
-    /// The raw row-major table (snapshot encoding).
-    pub fn table_slice(&self) -> &[Weight] {
-        &self.table
-    }
-
-    /// Reassembles a table from decoded parts. `None` when the shapes
-    /// disagree (`lin`/`lout` lengths differ, or the table is not `n²`).
-    pub fn from_parts(
-        lin_min: Vec<LabelSet>,
-        lout_min: Vec<LabelSet>,
-        table: Vec<Weight>,
-    ) -> Option<Self> {
-        if lin_min.len() != lout_min.len() || table.len() != lin_min.len() * lin_min.len() {
-            return None;
-        }
-        Some(Self {
-            lin_min: lin_min.into_iter().map(Arc::new).collect(),
-            lout_min: lout_min.into_iter().map(Arc::new).collect(),
-            table: Arc::new(table),
-        })
-    }
-
     /// Approximate heap footprint.
     pub fn size_bytes(&self) -> usize {
         self.lin_min
@@ -244,6 +169,30 @@ impl CategoryBounds {
             .map(|set| set.size_bytes())
             .sum::<usize>()
             + self.table.len() * std::mem::size_of::<Weight>()
+    }
+}
+
+/// The [`CategoryBounds`] of one index version, built on first use.
+///
+/// Clones share the cell: whichever clone asks first builds the table for
+/// all of them, which is sound because a clone is the same version. An
+/// update that changes the version replaces its index's cell with an
+/// empty one ([`BoundTables::default`]) instead of patching the table, so
+/// a clone taken before the update keeps the tables it had.
+#[derive(Debug, Clone, Default)]
+pub struct BoundTables(Arc<OnceLock<CategoryBounds>>);
+
+impl BoundTables {
+    /// The tables for `labels` and `categories`, built on the first call.
+    /// Every call on one cell must pass the same index version.
+    pub fn get(&self, labels: &HopLabels, categories: &CategoryTable) -> &CategoryBounds {
+        self.0
+            .get_or_init(|| CategoryBounds::build(labels, categories))
+    }
+
+    /// Heap footprint of the built tables; 0 until they are built.
+    pub fn size_bytes(&self) -> usize {
+        self.0.get().map_or(0, CategoryBounds::size_bytes)
     }
 }
 
@@ -385,44 +334,5 @@ mod tests {
         for l in 1..=4 {
             assert_eq!(other.remaining(l), sb.remaining(l), "rem[{l}]");
         }
-    }
-
-    #[test]
-    fn maintenance_keeps_table_exact() {
-        let (mut g, labels) = world();
-        let mut bounds = CategoryBounds::build(&labels, g.categories());
-        // Insert: category 1 gains vertex 0 — its row/column tighten.
-        g.categories_mut().insert(v(0), c(1));
-        bounds.insert_member(&labels, v(0), c(1));
-        assert_eq!(
-            bounds,
-            CategoryBounds::build(&labels, g.categories()),
-            "insert relaxation must match a fresh build"
-        );
-        // Remove: drop vertex 1 from c0 — rebuild path.
-        g.categories_mut().remove(v(1), c(0));
-        bounds.remove_member(&labels, g.categories(), c(0));
-        assert_eq!(
-            bounds,
-            CategoryBounds::build(&labels, g.categories()),
-            "remove rebuild must match a fresh build"
-        );
-    }
-
-    #[test]
-    fn from_parts_rejects_shape_mismatches() {
-        let (g, labels) = world();
-        let b = CategoryBounds::build(&labels, g.categories());
-        let lin: Vec<LabelSet> = b.lin_min_sets().cloned().collect();
-        let lout: Vec<LabelSet> = b.lout_min_sets().cloned().collect();
-        let ok = CategoryBounds::from_parts(lin.clone(), lout.clone(), b.table_slice().to_vec());
-        assert_eq!(ok.as_ref(), Some(&b));
-        assert!(CategoryBounds::from_parts(
-            lin.clone(),
-            lout[..1].to_vec(),
-            b.table_slice().to_vec()
-        )
-        .is_none());
-        assert!(CategoryBounds::from_parts(lin, lout, vec![0; 3]).is_none());
     }
 }

@@ -18,10 +18,13 @@
 //!   [`DijkstraTarget`]) behind the A* estimation.
 //! * [`disk`] — the SK-DB on-disk layout (per-category segments + offset
 //!   directory standing in for the paper's B+-tree).
+//! * [`bounds`] — the category-pair lower-bound tables behind
+//!   [`SeqBounds`], built on demand ([`BoundTables`]) for the library
+//!   searches that take bounds; no served path reads them.
 //! * [`arena`] — the **flat-arena** shard snapshot: the whole index as
-//!   offset-addressed slabs (including the inverted indexes and bound
-//!   tables), shipped to cold replicas by the transport layer; install is
-//!   O(bytes) of bounds-checked reinterpretation instead of a rebuild.
+//!   offset-addressed slabs (including the inverted indexes), shipped to
+//!   cold replicas by the transport layer; install is O(bytes) of
+//!   bounds-checked reinterpretation instead of a rebuild.
 //! * [`snapshot`] — the snapshot codec's typed refusals.
 
 #![forbid(unsafe_code)]
@@ -37,7 +40,7 @@ mod potential;
 pub mod snapshot;
 mod target;
 
-pub use bounds::{CategoryBounds, SeqBounds};
+pub use bounds::{BoundTables, CategoryBounds, SeqBounds};
 pub use inverted::{CategoryIndexSet, HubList, InvertedLabelIndex, InvertedStats};
 pub use nen::{EstimatedNeighbor, NenFinder};
 pub use nn::{DijkstraNn, LabelNn, NearestNeighbors};

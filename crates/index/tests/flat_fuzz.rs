@@ -8,7 +8,7 @@ use kosr_graph::{CategoryId, Graph, VertexId};
 use kosr_hoplabel::{HopLabels, HubOrder};
 use kosr_index::arena::{decode, encode, FlatSnapshot, FLAT_SNAPSHOT_VERSION};
 use kosr_index::snapshot::SnapshotError;
-use kosr_index::{CategoryBounds, CategoryIndexSet};
+use kosr_index::CategoryIndexSet;
 use proptest::prelude::*;
 
 /// Builds a world from proptest-driven raw material: edges and category
@@ -18,7 +18,7 @@ fn world(
     n: usize,
     edges: &[(u32, u32, u64)],
     members: &[(u32, u32)],
-) -> (Graph, HopLabels, CategoryIndexSet, CategoryBounds) {
+) -> (Graph, HopLabels, CategoryIndexSet) {
     let mut b = kosr_graph::GraphBuilder::new(n);
     for &(a, t, w) in edges {
         let (a, t) = (a % n as u32, t % n as u32);
@@ -34,8 +34,7 @@ fn world(
     let g = b.build();
     let labels = kosr_hoplabel::build(&g, &HubOrder::Degree);
     let inverted = CategoryIndexSet::build(&labels, g.categories());
-    let bounds = CategoryBounds::build(&labels, g.categories());
-    (g, labels, inverted, bounds)
+    (g, labels, inverted)
 }
 
 proptest! {
@@ -61,7 +60,7 @@ proptest! {
     }
 
     /// On arbitrary worlds the roundtrip is lossless — graph, labels,
-    /// categories, inverted indexes and bound tables all agree — and
+    /// categories and inverted indexes all agree — and
     /// re-encoding the decoded world reproduces the blob bit for bit.
     #[test]
     fn random_worlds_roundtrip_losslessly(
@@ -69,9 +68,9 @@ proptest! {
         edges in proptest::collection::vec((0u32..16, 0u32..16, 1u64..100), 1..40),
         members in proptest::collection::vec((0u32..16, 0u32..3), 0..20),
     ) {
-        let (g, labels, inverted, bounds) = world(n, &edges, &members);
-        let blob = encode(&g, &labels, &inverted, &bounds);
-        let (g2, labels2, inverted2, bounds2) = decode(&blob).expect("own blob validates");
+        let (g, labels, inverted) = world(n, &edges, &members);
+        let blob = encode(&g, &labels, &inverted);
+        let (g2, labels2, inverted2) = decode(&blob).expect("own blob validates");
         for s in g.vertices() {
             prop_assert_eq!(
                 g2.out_edges(s).collect::<Vec<_>>(),
@@ -90,8 +89,7 @@ proptest! {
                 prop_assert_eq!(b.list(h), Some(list));
             }
         }
-        prop_assert_eq!(&bounds2, &bounds);
-        prop_assert_eq!(encode(&g2, &labels2, &inverted2, &bounds2), blob);
+        prop_assert_eq!(encode(&g2, &labels2, &inverted2), blob);
     }
 
     /// Truncations and single-byte mutations of a valid blob never panic:
@@ -104,12 +102,12 @@ proptest! {
         flip_pos in 0usize..usize::MAX,
         flip_bits in 1u8..=255,
     ) {
-        let (g, labels, inverted, bounds) = world(
+        let (g, labels, inverted) = world(
             6,
             &[(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 0, 7)],
             &[(1, 0), (3, 0), (2, 1)],
         );
-        let blob = encode(&g, &labels, &inverted, &bounds);
+        let blob = encode(&g, &labels, &inverted);
         let cut = (cut_seed as usize) % (blob.len() + 1);
         let _ = decode(&blob[..cut]);
         let mut mutated = blob.clone();
@@ -121,14 +119,14 @@ proptest! {
 
 /// Deterministic spot check complementing the sweeps above: the arena's
 /// version byte is the only one accepted — the retired rebuild-on-install
-/// format (1) and a hypothetical successor (3) are typed refusals.
+/// format (1), the retired format that shipped the bound tables (2) and a
+/// hypothetical successor (4) are typed refusals.
 #[test]
 fn other_format_versions_are_unsupported() {
-    let (g, labels, inverted, bounds) =
-        world(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], &[(1, 0)]);
-    let mut blob = encode(&g, &labels, &inverted, &bounds);
+    let (g, labels, inverted) = world(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], &[(1, 0)]);
+    let mut blob = encode(&g, &labels, &inverted);
     assert_eq!(blob[8], FLAT_SNAPSHOT_VERSION);
-    for version in [1u8, 3] {
+    for version in [1u8, 2, 4] {
         blob[8] = version;
         assert!(matches!(
             FlatSnapshot::validate(&blob),

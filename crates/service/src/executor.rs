@@ -603,13 +603,6 @@ impl KosrService {
         self.shared.index_snapshot().1
     }
 
-    /// The planner configuration this service was built with — what the
-    /// shard router reads to honor per-fleet toggles (e.g. `use_bounds`)
-    /// in its own pre-submission gates.
-    pub fn planner_config(&self) -> &crate::planner::PlannerConfig {
-        self.shared.planner.config()
-    }
-
     /// The index epoch: bumped by every applied [`Update`]. Snapshot +
     /// epoch pairs let callers detect staleness.
     pub fn index_epoch(&self) -> u64 {
@@ -1518,7 +1511,6 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(first.plan.use_bounds, "bounds are on by default");
         assert_eq!(first.outcome.costs(), vec![20, 21, 22]);
         assert_eq!(
             tag(&first.spans, "bound_prunes"),
@@ -1570,30 +1562,6 @@ mod tests {
         assert_eq!(resp.outcome.stats.bound_pruned, 1);
         assert_eq!(resp.outcome.stats.examined_routes, 0);
         assert_eq!(svc.stats().bound_prunes, 1);
-    }
-
-    #[test]
-    fn disabling_bounds_answers_identically() {
-        let fx = figure1();
-        let ig = Arc::new(IndexedGraph::build_default(fx.graph.clone()));
-        let svc = KosrService::new(
-            ig,
-            ServiceConfig {
-                workers: 1,
-                cache_capacity: 0,
-                planner: crate::planner::PlannerConfig {
-                    use_bounds: false,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let resp = svc.submit(fig1_query(&fx, 3)).unwrap().wait().unwrap();
-        assert!(!resp.plan.use_bounds);
-        assert_eq!(resp.outcome.costs(), vec![20, 21, 22]);
-        assert_eq!(resp.outcome.stats.bound_pruned, 0);
-        let stats = svc.stats();
-        assert_eq!((stats.bound_prunes, stats.witness_reuses), (0, 0));
     }
 
     #[test]

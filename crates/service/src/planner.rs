@@ -1,5 +1,5 @@
 //! The query planner: every served query runs StarKOSR (SK); the plan
-//! carries SK's examined-routes budget, the deadline and the bound toggle.
+//! carries SK's examined-routes budget and the deadline.
 //!
 //! Why SK alone. The paper presents SK as its faster algorithm: it extends
 //! routes A*-style, so it reaches the qualified routes early (§V,
@@ -38,15 +38,6 @@ pub struct PlannerConfig {
     /// Default wall-clock deadline stamped on plans (queue wait included);
     /// `None` admits queries with no deadline.
     pub deadline: Option<Duration>,
-    /// When `true` (the default), the shard router reads the index's
-    /// inter-category lower-bound tables for each shard's rewritten query:
-    /// it skips a shard they prove infeasible and admits the shard's
-    /// stream to the merge at their bound. It gates only those router
-    /// reads: executions never read the tables, since served StarKOSR's
-    /// exact root potential decides feasibility itself. Results are
-    /// bit-identical either way; the toggle exists for A/B measurement and
-    /// as an escape hatch.
-    pub use_bounds: bool,
 }
 
 impl Default for PlannerConfig {
@@ -58,7 +49,6 @@ impl Default for PlannerConfig {
             expansion_per_level: 1_000_000,
             max_examined: u64::MAX,
             deadline: None,
-            use_bounds: true,
         }
     }
 }
@@ -72,8 +62,10 @@ pub struct QueryPlan {
     pub examined_budget: u64,
     /// Wall-clock deadline for the query (submit → response), if any.
     pub deadline: Option<Duration>,
-    /// Let the shard router read the bound tables. See
-    /// [`PlannerConfig::use_bounds`].
+    /// Always `false`: no served path reads the lower-bound tables, since
+    /// served StarKOSR's exact root potential decides feasibility itself.
+    /// The field stays because loadgen's trace report reads it to decide
+    /// whether to assemble `seq_bounds` (ROADMAP 9f).
     pub use_bounds: bool,
 }
 
@@ -90,11 +82,6 @@ impl QueryPlanner {
         QueryPlanner { config }
     }
 
-    /// The active tunables.
-    pub fn config(&self) -> &PlannerConfig {
-        &self.config
-    }
-
     /// Plans `query`. The query is assumed validated.
     pub fn plan(&self, query: &Query) -> QueryPlan {
         let cfg = &self.config;
@@ -108,7 +95,7 @@ impl QueryPlanner {
             method: Method::Sk,
             examined_budget,
             deadline: cfg.deadline,
-            use_bounds: cfg.use_bounds,
+            use_bounds: false,
         }
     }
 }
@@ -221,23 +208,11 @@ mod tests {
                     method: Method::Sk,
                     examined_budget,
                     deadline: None,
-                    use_bounds: true,
+                    use_bounds: false,
                 },
                 "{edge}"
             );
         }
-    }
-
-    #[test]
-    fn bounds_toggle_propagates_to_plans() {
-        let fx = figure1();
-        let q = Query::new(fx.s, fx.t, vec![fx.ma], 1);
-        assert!(QueryPlanner::default().plan(&q).use_bounds, "default on");
-        let off = QueryPlanner::new(PlannerConfig {
-            use_bounds: false,
-            ..Default::default()
-        });
-        assert!(!off.plan(&q).use_bounds);
     }
 
     #[test]

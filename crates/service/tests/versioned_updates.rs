@@ -28,22 +28,13 @@ fn service(ig: &IndexedGraph) -> KosrService {
     )
 }
 
-/// `true` when category `c`'s sections — member list, inverted index and
-/// both bound-table virtual sets — are the same allocations in `a` and `b`.
+/// `true` when category `c`'s sections — member list and inverted index —
+/// are the same allocations in `a` and `b`.
 fn shares_category(a: &IndexedGraph, b: &IndexedGraph, c: CategoryId) -> bool {
-    let i = c.index();
     std::ptr::eq(
         a.graph.categories().vertices_of(c),
         b.graph.categories().vertices_of(c),
     ) && std::ptr::eq(a.inverted.category(c), b.inverted.category(c))
-        && std::ptr::eq(
-            a.bounds.lin_min_sets().nth(i).unwrap(),
-            b.bounds.lin_min_sets().nth(i).unwrap(),
-        )
-        && std::ptr::eq(
-            a.bounds.lout_min_sets().nth(i).unwrap(),
-            b.bounds.lout_min_sets().nth(i).unwrap(),
-        )
 }
 
 #[test]

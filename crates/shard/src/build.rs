@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use kosr_core::IndexedGraph;
 use kosr_graph::{CategoryId, Partition, PartitionStats, VertexId};
-use kosr_index::{CategoryBounds, InvertedLabelIndex};
+use kosr_index::{BoundTables, InvertedLabelIndex};
 
 /// One [`IndexedGraph`] replica per shard, each carrying the replicated
 /// routing skeleton plus its own slice of the category data as *shadow
@@ -58,15 +58,11 @@ impl ShardSet {
                 for members in &owned_members {
                     inverted.push(InvertedLabelIndex::build_from_members(&ig.labels, members));
                 }
-                // The chain tables cover the shadow categories too, so
-                // the router can bound shadow-rewritten queries against
-                // this shard's owned first stops.
-                let bounds = CategoryBounds::build(&ig.labels, graph.categories());
                 IndexedGraph {
                     graph,
                     labels: Arc::clone(&ig.labels),
                     inverted,
-                    bounds,
+                    bounds: BoundTables::default(),
                     label_stats: ig.label_stats,
                     inverted_stats: ig.inverted_stats,
                 }

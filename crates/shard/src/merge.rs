@@ -26,51 +26,20 @@ use kosr_graph::{VertexId, Weight};
 /// and `time.total` takes the max (shards run in parallel; the merged
 /// total reports the critical path).
 pub fn merge_topk(streams: Vec<KosrOutcome>, k: usize) -> KosrOutcome {
-    let bounds = vec![0; streams.len()];
-    merge_topk_bounded(streams, k, &bounds)
-}
-
-/// [`merge_topk`] with an **admissible per-stream cost lower bound**:
-/// `bounds[i]` must not exceed the cost of any witness in `streams[i]`
-/// (the router derives it from the shard's category-chain table; `0` is
-/// always sound). Streams are admitted to the cursor heap lazily — stream
-/// `i` only materializes a cursor once `bounds[i]` is ≤ the cost at the
-/// front of the heap (`≤`, not `<`: an equal-cost witness can still win
-/// the canonical lexicographic tie-break). A stream whose bound stays
-/// above the k-th answer never has its head cloned at all, and once `k`
-/// witnesses are out the merge stops without touching the rest.
-///
-/// With admissible bounds the output is **bit-identical** to
-/// [`merge_topk`]: a stream held back by its bound cannot, by
-/// admissibility, contain the next canonical pop.
-pub fn merge_topk_bounded(streams: Vec<KosrOutcome>, k: usize, bounds: &[Weight]) -> KosrOutcome {
-    assert_eq!(
-        streams.len(),
-        bounds.len(),
-        "one lower bound per stream required"
-    );
     // Cursor heap keyed by the canonical order; the stream index breaks
     // (impossible, but cheap) exact key collisions deterministically.
     type Key = (Weight, Vec<VertexId>, usize, usize);
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(streams.len());
-    // Admission order: tightest bound first.
-    let mut order: Vec<usize> = (0..streams.len()).collect();
-    order.sort_by_key(|&i| bounds[i]);
-    let mut next = 0;
+    let mut heap: BinaryHeap<Reverse<Key>> = streams
+        .iter()
+        .enumerate()
+        .filter_map(|(si, s)| {
+            let w = s.witnesses.first()?;
+            Some(Reverse((w.cost, w.vertices.clone(), si, 0)))
+        })
+        .collect();
 
     let mut witnesses = Vec::with_capacity(k.min(64));
     while witnesses.len() < k {
-        while next < order.len()
-            && heap
-                .peek()
-                .is_none_or(|Reverse((front, ..))| bounds[order[next]] <= *front)
-        {
-            let si = order[next];
-            next += 1;
-            if let Some(w) = streams[si].witnesses.first() {
-                heap.push(Reverse((w.cost, w.vertices.clone(), si, 0)));
-            }
-        }
         let Some(Reverse((_, _, si, pos))) = heap.pop() else {
             break;
         };
@@ -168,55 +137,6 @@ mod tests {
             let merged = merge_topk(streams.clone(), k);
             assert_eq!(merged.witnesses[..], union[..k.min(union.len())]);
         }
-    }
-
-    #[test]
-    fn bounded_merge_matches_unbounded_under_admissible_bounds() {
-        let streams: Vec<KosrOutcome> = (0..5)
-            .map(|s| {
-                let mut ws: Vec<Witness> = (0..4)
-                    .map(|i| w((i * 7 + s * 3) % 13 + s, (s * 10 + i) as u32))
-                    .collect();
-                ws.sort_by(|x, y| x.canonical_cmp(y));
-                stream(ws)
-            })
-            .collect();
-        // The tightest admissible bound: each stream's own head cost.
-        let bounds: Vec<Weight> = streams
-            .iter()
-            .map(|s| s.witnesses.first().map_or(0, |w| w.cost))
-            .collect();
-        for k in [1, 2, 5, 20] {
-            let base = merge_topk(streams.clone(), k);
-            let opt = merge_topk_bounded(streams.clone(), k, &bounds);
-            assert_eq!(base.witnesses, opt.witnesses, "k={k}");
-        }
-    }
-
-    #[test]
-    fn streams_held_above_the_kth_cost_are_never_admitted() {
-        let a = stream(vec![w(1, 1), w(2, 2)]);
-        let b = stream(vec![w(3, 3)]);
-        // A deliberately mis-ordered stream: admitting it would corrupt
-        // the merge (its head costs more than its tail), so a correct
-        // output proves its bound kept it out entirely.
-        let mut poisoned = stream(vec![w(90, 9), w(50, 8)]);
-        poisoned.stats.examined_routes = 11;
-        let out = merge_topk_bounded(vec![a, b, poisoned], 3, &[0, 0, 40]);
-        assert_eq!(out.costs(), vec![1, 2, 3]);
-        // Never-admitted streams still aggregate into the merged stats.
-        assert_eq!(out.stats.examined_routes, 11);
-    }
-
-    #[test]
-    fn bounds_admit_on_ties_so_lexicographic_order_survives() {
-        let a = stream(vec![w(5, 7)]);
-        let b = stream(vec![w(5, 2)]);
-        // b's bound equals a's head cost: it must still be admitted before
-        // the pop, or the canonical tie-break would be violated.
-        let out = merge_topk_bounded(vec![a, b], 2, &[0, 5]);
-        assert_eq!(out.witnesses[0].vertices[1], VertexId(2));
-        assert_eq!(out.witnesses[1].vertices[1], VertexId(7));
     }
 
     #[test]

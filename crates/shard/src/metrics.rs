@@ -54,12 +54,6 @@ impl MetricsSource for ShardRouter {
             &[],
             self.fanout_reads() as f64,
         );
-        registry.counter(
-            "kosr_router_bound_skips_total",
-            "Planned shards skipped because their category-chain bound proved them empty",
-            &[],
-            self.bound_skips() as f64,
-        );
     }
 }
 
@@ -178,7 +172,6 @@ mod tests {
             "every local replica exports its stats"
         );
         assert!(text.contains("kosr_supervisor_ticks_total 0"));
-        assert!(text.contains("kosr_router_bound_skips_total"));
         assert!(text.contains("kosr_fleet_healthy 1"));
 
         // Kill a replica: the next export shows the degraded fleet and the

@@ -3,12 +3,11 @@
 //! first-stop ownership, epoch-cached fan-out planning, and the
 //! bounded-heap merge.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kosr_core::{KosrOutcome, Query, QueryError};
-use kosr_graph::{CategoryId, Partition, PartitionStats, Weight};
+use kosr_graph::{CategoryId, Partition, PartitionStats};
 use kosr_service::{
     span_id_for, EventJournal, KosrService, ServiceConfig, ServiceError, ServiceStats, SloEngine,
     SloSpec, Span, TraceContext,
@@ -19,7 +18,7 @@ use kosr_transport::{InProcTransport, ReplicaSet, ShardTransport, TransportTicke
 use crate::build::ShardSet;
 use crate::bus::LiveUpdateBus;
 use crate::error::ShardError;
-use crate::merge::merge_topk_bounded;
+use crate::merge::merge_topk;
 use crate::observe::{ObserverRegistry, UpdateObserver};
 use crate::state::{FanoutCache, UpdateLog};
 
@@ -40,12 +39,9 @@ use crate::state::{FanoutCache, UpdateLog};
 ///
 /// Every touched shard runs the full `k` on one healthy replica (with
 /// transparent failover to the next on connection faults —
-/// [`ReplicaSet::query`]) — unless the shard's own category-chain table
-/// proves its subspace empty, in which case the fan-out skips it (see
-/// [`ShardRouter::submit_traced`]). [`ShardTicket::wait`] merges the
-/// canonical streams with [`merge_topk_bounded`], admitting each stream
-/// only once its chain bound allows it, so the response is bit-identical
-/// to an unsharded `KosrService` run of the same query.
+/// [`ReplicaSet::query`]). [`ShardTicket::wait`] merges the canonical
+/// streams with [`merge_topk`], so the response is bit-identical to an
+/// unsharded `KosrService` run of the same query.
 pub struct ShardRouter {
     shards: Vec<Arc<ReplicaSet>>,
     /// In-process service handles, per shard per replica — populated by
@@ -60,9 +56,6 @@ pub struct ShardRouter {
     events: Arc<EventJournal>,
     observers: Arc<ObserverRegistry>,
     slo: Arc<SloEngine>,
-    /// Planned shards proven empty by their category-chain bound and never
-    /// queried (see [`ShardRouter::submit_traced`]).
-    bound_skips: AtomicU64,
 }
 
 /// A merged cross-shard response.
@@ -72,9 +65,6 @@ pub struct ShardedResponse {
     pub outcome: KosrOutcome,
     /// The shards the query fanned out to.
     pub shards: Vec<usize>,
-    /// Planned shards skipped because their chain bound proved they could
-    /// not contribute a witness (in-process replicas only).
-    pub skipped_shards: Vec<usize>,
     /// How many of the per-shard answers came from replica caches.
     pub cached_shards: usize,
     /// Submit → merged-response wall clock (slowest shard + merge).
@@ -90,10 +80,6 @@ pub struct ShardedResponse {
 #[must_use = "a shard ticket must be waited on to observe the merged result"]
 pub struct ShardTicket {
     parts: Vec<(usize, TransportTicket)>,
-    /// Admissible per-stream cost lower bounds, aligned with `parts` —
-    /// `0` for shards whose bound could not be computed locally.
-    bounds: Vec<Weight>,
-    skipped: Vec<usize>,
     k: usize,
     submitted: Instant,
     trace: Option<TraceContext>,
@@ -134,7 +120,7 @@ impl ShardTicket {
         }
         let merge_started = Instant::now();
         let merge_start_us = elapsed_us(self.submitted);
-        let outcome = merge_topk_bounded(streams, self.k, &self.bounds);
+        let outcome = merge_topk(streams, self.k);
         if let Some(ctx) = &self.trace {
             spans.push(Span {
                 id: span_id_for(ctx.trace_id, ctx.parent_span, 0),
@@ -151,7 +137,6 @@ impl ShardTicket {
         Ok(ShardedResponse {
             outcome,
             shards,
-            skipped_shards: self.skipped,
             cached_shards,
             latency: self.submitted.elapsed(),
             spans,
@@ -269,7 +254,6 @@ impl ShardRouter {
             events,
             observers: Arc::new(ObserverRegistry::new()),
             slo,
-            bound_skips: AtomicU64::new(0),
         }
     }
 
@@ -403,11 +387,14 @@ impl ShardRouter {
         self.fanout.reads()
     }
 
-    /// Planned shards never queried because their category-chain bound
-    /// proved they could not produce a witness (see
-    /// [`ShardRouter::submit_traced`]).
+    /// Always 0. It counted planned shards skipped because their
+    /// category-chain bound proved them empty; the skip needed a local
+    /// engine, which TCP fleets do not have, and served StarKOSR refuses
+    /// an infeasible query at its root potential anyway, so the skip was
+    /// deleted. The method stays because loadgen's trace report reads it
+    /// (`shard.bound_skips`, ROADMAP 9f).
     pub fn bound_skips(&self) -> u64 {
-        self.bound_skips.load(Ordering::Relaxed)
+        0
     }
 
     /// The shards `query` must touch (see the type-level docs). Served
@@ -488,44 +475,10 @@ impl ShardRouter {
         }
         let k = query.k;
         let mut parts = Vec::with_capacity(targets.len());
-        let mut bounds = Vec::with_capacity(targets.len());
-        let mut skipped = Vec::new();
         for &j in &targets {
             let mut q = query.clone();
             if let Some(c1) = q.categories.first_mut() {
                 *c1 = self.shadow(*c1);
-            }
-            // In-process shards expose their category-chain tables, so the
-            // router can bound shard j's best possible answer before
-            // paying for the query: an infinite chain (no s → shadow-C₁ →
-            // … → t completion exists through this shard's first stops)
-            // skips the shard outright — it could only return an empty
-            // stream — and a finite chain rides along as the stream's
-            // merge admission bound. The bound is read from the replica's
-            // current snapshot; like fan-out planning's count cache, a
-            // racing live update serializes the query before it. Remote
-            // shards (no local handle) and fleets running with
-            // `use_bounds: false` take the unconditional path.
-            //
-            // The tables are replica 0's, but the stream may be served by
-            // a sibling. While replica 0 is behind the log tail — for the
-            // whole window of an in-flight publish, or deferred after a
-            // fault — its chain table may lag the world a sibling answers
-            // from: a stale bound can exceed a stream's true head cost
-            // (inadmissible, corrupting the bounded merge) and a stale
-            // infeasibility claim can skip a shard that now has answers.
-            // So both reads stand down until the cursor catches up.
-            let mut bound = 0;
-            if let Some(svc) = self.local_shard_service(j) {
-                if svc.planner_config().use_bounds && self.log.caught_up(j) {
-                    let sb = svc.indexed_graph().seq_bounds(&q);
-                    if sb.infeasible() {
-                        self.bound_skips.fetch_add(1, Ordering::Relaxed);
-                        skipped.push(j);
-                        continue;
-                    }
-                    bound = sb.remaining(0);
-                }
             }
             // The replica's spans parent under this shard's span, whose id
             // is derived (not stored): wait() recomputes it.
@@ -535,12 +488,9 @@ impl ShardRouter {
                 sampled: true,
             });
             parts.push((j, self.shards[j].query_traced(q, child)));
-            bounds.push(bound);
         }
         Ok(ShardTicket {
             parts,
-            bounds,
-            skipped,
             k,
             submitted,
             trace: ctx,
@@ -833,9 +783,11 @@ mod tests {
     }
 
     /// Two directed components: `0 → 1 → 2` (shard 0) and `3 → 4 → 5`
-    /// (shard 1). `C1 = {1, 4}`, `C2 = {2}` — shard 1's slice of C1 can
-    /// never complete a sequence ending at 2.
-    fn split_world_router(config: ServiceConfig) -> (ShardRouter, CategoryId, CategoryId) {
+    /// (shard 1). `C1 = {1, 4}`, `C2 = {2}`: from 2 no C1 member is
+    /// reachable, so `s = 0, t = 2, C = ⟨C2, C1⟩` has no route at all,
+    /// though both shards own a C1 member.
+    #[test]
+    fn infeasible_sequences_merge_to_the_empty_outcome() {
         use kosr_graph::{GraphBuilder, VertexId};
         let mut b = GraphBuilder::new(6);
         b.add_edge(VertexId(0), VertexId(1), 5);
@@ -850,70 +802,24 @@ mod tests {
         let ig = IndexedGraph::build_default(b.build());
         let partition = kosr_graph::Partition::from_owner(vec![0, 0, 0, 1, 1, 1], 2);
         let set = ShardSet::build(&ig, partition);
-        let router = ShardRouter::with_replicas(set, config, 1, |_, _, t| Arc::new(t));
-        (router, c1, c2)
-    }
-
-    #[test]
-    fn chain_bound_skips_shards_that_cannot_complete_the_sequence() {
-        use kosr_graph::VertexId;
-        let (router, c1, c2) = split_world_router(ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        let q = Query::new(VertexId(0), VertexId(2), vec![c1, c2], 3);
-        // Both shards own a C1 member, so planning targets both…
-        assert_eq!(router.plan_fanout(&q).unwrap(), vec![0, 1]);
-        let resp = router.submit(q).unwrap().wait().unwrap();
-        // …but shard 1's chain bound is infinite (its first stops live in
-        // the other component), so only shard 0 is actually queried.
-        assert_eq!(resp.shards, vec![0]);
-        assert_eq!(resp.skipped_shards, vec![1]);
-        assert_eq!(router.bound_skips(), 1);
-        assert_eq!(resp.outcome.costs(), vec![12]);
-    }
-
-    #[test]
-    fn all_shards_skipped_yields_the_empty_outcome() {
-        use kosr_graph::VertexId;
-        let (router, c1, c2) = split_world_router(ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        // C2 before C1: from 2 no C1 member is reachable, so every
-        // planned shard's chain is infinite and nothing is queried — the
-        // same empty answer an unsharded run gives, without any fan-out.
+        let router = ShardRouter::with_replicas(
+            set,
+            ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+            1,
+            |_, _, t| Arc::new(t),
+        );
         let q = Query::new(VertexId(0), VertexId(2), vec![c2, c1], 2);
         let resp = router.submit(q.clone()).unwrap().wait().unwrap();
         assert!(resp.outcome.witnesses.is_empty());
-        assert!(resp.shards.is_empty());
-        assert!(!resp.skipped_shards.is_empty());
-        let unsharded = router.shard_service(0).indexed_graph();
-        assert!(unsharded
+        // Every planned shard is queried and answers empty.
+        assert_eq!(resp.shards, router.plan_fanout(&q).unwrap());
+        assert!(ig
             .run_canonical(&q, kosr_core::Method::Sk, u64::MAX)
             .costs()
             .is_empty());
-    }
-
-    #[test]
-    fn bound_skip_gate_honors_the_use_bounds_toggle() {
-        use kosr_graph::VertexId;
-        let (router, c1, c2) = split_world_router(ServiceConfig {
-            workers: 1,
-            planner: kosr_service::PlannerConfig {
-                use_bounds: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let q = Query::new(VertexId(0), VertexId(2), vec![c1, c2], 3);
-        let resp = router.submit(q).unwrap().wait().unwrap();
-        // The escape hatch disables the gate: both shards are queried and
-        // the answer is unchanged.
-        assert_eq!(resp.shards, vec![0, 1]);
-        assert!(resp.skipped_shards.is_empty());
-        assert_eq!(router.bound_skips(), 0);
-        assert_eq!(resp.outcome.costs(), vec![12]);
     }
 
     #[test]

@@ -79,10 +79,8 @@ impl FanoutCache {
 /// While a publish is in flight a reader therefore sees `cursor < tail`
 /// for every replica whose apply has not been accounted yet (the entry is
 /// pushed before the first replica call; cursors advance once the fan-out
-/// has returned). That is exactly the deferred-apply window the router's
-/// bound gating stands down for — see [`UpdateLog::caught_up`]. Lock order
-/// is publisher → state; the state lock is never held while taking the
-/// publisher's.
+/// has returned). Lock order is publisher → state; the state lock is
+/// never held while taking the publisher's.
 ///
 /// The log is **compacting**: sequence numbers are absolute (the `seq`th
 /// publish keeps seq number `seq` forever), but the supervisor drops the
@@ -181,14 +179,6 @@ impl UpdateLog {
     /// guard across a transport call.
     pub(crate) fn state(&self) -> MutexGuard<'_, LogInner> {
         self.state.lock().expect("update log poisoned")
-    }
-
-    /// `true` when replica 0 of shard `j` has applied every logged update
-    /// — `false` for the whole window of an in-flight publish, and for as
-    /// long as the replica stays deferred afterwards.
-    pub(crate) fn caught_up(&self, j: usize) -> bool {
-        let state = self.state();
-        state.cursors[j].first().is_some_and(|&c| c == state.tail())
     }
 
     /// The tail once no publish is in flight: every healthy replica has

@@ -20,15 +20,16 @@
 //!   fewer than `k` routes exist, *every* feasible route is delivered, so
 //!   an untouched delivered set means nothing existed through that vertex
 //!   slot at all).
-//! * **bound** — an insert can only add routes that pass the new member
-//!   `v` at one of its category's slots; chaining the `CategoryBounds`
-//!   tables through `v` lower-bounds every such route. Likewise an edge
-//!   insert only changes routes that traverse it, bounded below by
-//!   `dis(s, from) + w + dis(to, t)` in the *post-update* metric. If the
-//!   bound exceeds the current k-th cost while a full `k` is held,
-//!   nothing can enter or improve.
-//! * **chain** — when that same lower bound is infinite, no feasible
-//!   route through the update's footprint exists at all, full `k` or not.
+//! * **bound** — an edge insert only changes routes that traverse it,
+//!   bounded below by `dis(s, from) + w + dis(to, t)` in the *post-update*
+//!   metric. If the bound exceeds the current k-th cost while a full `k`
+//!   is held, nothing can enter or improve.
+//! * **chain** — when that same lower bound is infinite, no route through
+//!   the new edge exists at all, full `k` or not.
+//!
+//! A membership insert that mentions the query's category always wakes:
+//! it can only add routes, and ruling them out would need the
+//! category-pair lower-bound tables, which no serving path builds.
 //!
 //! Region-only filtering is deliberately **absent** for edge updates: the
 //! routing skeleton is global and route legs cross regions freely, so "the
@@ -36,7 +37,7 @@
 //! the sound replacement.
 
 use kosr_core::{IndexedGraph, Query};
-use kosr_graph::{inf_add, is_finite, CategoryId, Partition, VertexId, Weight, INFINITY};
+use kosr_graph::{inf_add, is_finite, CategoryId, Partition, VertexId};
 use kosr_service::Update;
 
 use crate::registry::Subscription;
@@ -60,11 +61,11 @@ pub enum SkipCause {
     Shard,
     /// No delivered witness passes the removed member at a matching slot.
     Witness,
-    /// The chained lower bound through the update's footprint exceeds the
-    /// k-th delivered cost.
+    /// The lower bound on routes through an inserted edge exceeds the k-th
+    /// delivered cost.
     Bound,
-    /// The chained lower bound is infinite: no feasible route through the
-    /// footprint exists.
+    /// The lower bound on routes through an inserted edge is infinite: no
+    /// such route exists.
     Chain,
 }
 
@@ -91,11 +92,10 @@ pub enum FilterDecision {
 }
 
 /// Classifies `update` against one subscription. `engine` supplies the
-/// post-update labels and `CategoryBounds` tables for the bound/chain
-/// stages; pass `None` when no consistent local engine is available (the
-/// publish deferred somewhere, or the fleet is remote) — the filter then
-/// degrades to the always-sound category/shard/witness stages and wakes
-/// otherwise.
+/// post-update labels for the edge stage; pass `None` when no consistent
+/// local engine is available (the publish deferred somewhere, or the
+/// fleet is remote) — the filter then degrades to the always-sound
+/// category/shard/witness stages and wakes otherwise.
 pub fn classify(
     sub: &Subscription,
     update: &Update,
@@ -125,21 +125,11 @@ pub fn classify(
                 FilterDecision::Skip(SkipCause::Witness)
             }
         }
-        Update::InsertMembership { vertex, category } => {
+        Update::InsertMembership { category, .. } => {
             if !sub.signature.mentions(category) {
                 return FilterDecision::Skip(SkipCause::Category);
             }
-            let Some(ig) = engine else {
-                return FilterDecision::Wake(WakeCause::Membership);
-            };
-            let bound = insert_bound(ig, &sub.query, vertex, category);
-            if !is_finite(bound) {
-                return FilterDecision::Skip(SkipCause::Chain);
-            }
-            match sub.kth_cost() {
-                Some(kth) if bound > kth => FilterDecision::Skip(SkipCause::Bound),
-                _ => FilterDecision::Wake(WakeCause::Membership),
-            }
+            FilterDecision::Wake(WakeCause::Membership)
         }
         Update::InsertEdge { from, to, weight } => {
             let Some(ig) = engine else {
@@ -177,47 +167,6 @@ fn witness_passes(
             .enumerate()
             .any(|(i, &c)| c == category && w.vertices.get(i + 1) == Some(&vertex))
     })
-}
-
-/// Lower bound on the cost of **any** route that satisfies `query` and
-/// passes `v` at some slot of category `category`: per-leg minima chained
-/// through the `CategoryBounds` tables, minimised over the matching
-/// slots. Every newly feasible witness an insert of `(v, category)`
-/// creates is of that shape, so a bound above the k-th cost proves the
-/// top-k unchanged; an infinite bound proves no such route exists.
-fn insert_bound(ig: &IndexedGraph, query: &Query, v: VertexId, category: CategoryId) -> Weight {
-    let cats = &query.categories;
-    let m = cats.len();
-    let labels = &ig.labels;
-    let b = &ig.bounds;
-    let mut best = INFINITY;
-    for i in 0..m {
-        if cats[i] != category {
-            continue;
-        }
-        // s → C₁ → … → C_{i-1} → v, each leg its independent minimum.
-        let prefix = if i == 0 {
-            labels.distance(query.source, v)
-        } else {
-            let mut p = b.to_category(labels, query.source, cats[0]);
-            for j in 0..i - 1 {
-                p = inf_add(p, b.pair(cats[j], cats[j + 1]));
-            }
-            inf_add(p, b.from_category(labels, cats[i - 1], v))
-        };
-        // v → C_{i+1} → … → C_{m-1} → t.
-        let suffix = if i == m - 1 {
-            labels.distance(v, query.target)
-        } else {
-            let mut s = b.to_category(labels, v, cats[i + 1]);
-            for j in i + 1..m - 1 {
-                s = inf_add(s, b.pair(cats[j], cats[j + 1]));
-            }
-            inf_add(s, b.from_category(labels, cats[m - 1], query.target))
-        };
-        best = best.min(inf_add(prefix, suffix));
-    }
-    best
 }
 
 #[cfg(test)]
@@ -324,59 +273,40 @@ mod tests {
     }
 
     #[test]
-    fn insert_bound_is_a_true_lower_bound_and_gates_wakes() {
+    fn inserts_mentioning_the_category_wake() {
         let (ig, partition, fx) = world();
-        let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 1);
-        let mut sub = sub_for(&ig, &partition, q.clone());
-        assert_eq!(sub.delivered.len(), 1, "k=1 held in full");
-        let kth = sub.kth_cost().unwrap();
-
-        // The bound never exceeds the true cost of a matching route: for
-        // the delivered witness's own restaurant slot, bounding a route
-        // through that exact vertex must come in at or below its cost.
-        let v = sub.delivered[0].vertices[2];
-        assert!(insert_bound(&ig, &q, v, fx.re) <= kth);
-
-        // A full-k subscription with an absurdly low k-th cost skips any
-        // insert whose chained bound cannot beat it.
-        sub.delivered[0].cost = 0;
-        for v in fx.graph.vertices() {
-            match classify(
-                &sub,
-                &Update::InsertMembership {
-                    vertex: v,
-                    category: fx.re,
-                },
-                &partition,
-                Some(&ig),
-            ) {
-                FilterDecision::Skip(SkipCause::Bound) | FilterDecision::Skip(SkipCause::Chain) => {
-                }
-                other => panic!("insert at {v:?} must bound- or chain-skip, got {other:?}"),
+        // A full k = 1 held at an absurdly low k-th cost, and a partial
+        // k = 50: either way, any insert into a category the query
+        // mentions wakes the session.
+        let mut full = sub_for(
+            &ig,
+            &partition,
+            Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 1),
+        );
+        full.delivered[0].cost = 0;
+        let partial = sub_for(
+            &ig,
+            &partition,
+            Query::new(fx.s, fx.t, vec![fx.ma, fx.re], 50),
+        );
+        assert_eq!(partial.kth_cost(), None, "fewer than k routes exist");
+        for sub in [&full, &partial] {
+            for v in fx.graph.vertices() {
+                assert_eq!(
+                    classify(
+                        sub,
+                        &Update::InsertMembership {
+                            vertex: v,
+                            category: fx.re,
+                        },
+                        &partition,
+                        Some(&ig),
+                    ),
+                    FilterDecision::Wake(WakeCause::Membership),
+                    "insert at {v:?}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn partial_k_wakes_on_feasible_inserts_but_chain_skips_unreachable() {
-        let (ig, partition, fx) = world();
-        let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re], 50);
-        let sub = sub_for(&ig, &partition, q.clone());
-        assert!(sub.delivered.len() < 50, "fewer than k routes exist");
-        assert_eq!(sub.kth_cost(), None);
-        // Any reachable insert could add a route: must wake.
-        assert_eq!(
-            classify(
-                &sub,
-                &Update::InsertMembership {
-                    vertex: fx.t,
-                    category: fx.re,
-                },
-                &partition,
-                Some(&ig),
-            ),
-            FilterDecision::Wake(WakeCause::Membership)
-        );
     }
 
     #[test]

@@ -381,9 +381,10 @@ impl SubscriptionHub {
             }
             None => table.sessions(),
         };
-        // Bound/chain filtering needs an engine that has definitely
-        // applied this update; a deferred replica means the local handle
-        // might be the stale one, so degrade to the label-free stages.
+        // The edge stage's bound/chain filtering needs an engine that has
+        // definitely applied this update; a deferred replica means the
+        // local handle might be the stale one, so degrade to the
+        // label-free stages.
         let engine = if receipt.deferred_replicas == 0 {
             router.local_shard_service(0).map(|s| s.indexed_graph())
         } else {

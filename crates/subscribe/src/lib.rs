@@ -16,9 +16,9 @@
 //!    owning-shard set + source region).
 //! 2. **Invalidation filter** ([`classify`]) — on each bus publish, the
 //!    update's footprint is intersected against signatures via inverted
-//!    indexes, delivered-witness scans, and `CategoryBounds`
-//!    chain-feasibility. A sushi-shop insert on shard 3 never wakes a
-//!    coffee-route subscriber on shard 0, and every skip is a proven
+//!    indexes, delivered-witness scans, and, for edge inserts, a label
+//!    distance bound through the new edge. A sushi-shop insert never
+//!    wakes a coffee-route subscriber, and every skip is a proven
 //!    fast path (see the [`filter`] module docs for the soundness
 //!    arguments) counted on `kosr_sub_skipped_total`.
 //! 3. **Delta engine** ([`SubscriptionHub`]) — woken subscriptions

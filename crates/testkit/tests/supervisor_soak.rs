@@ -162,7 +162,7 @@ fn log_stays_bounded_and_long_downed_replica_refreshes_by_snapshot() {
     // snapshot layout names the codec version.
     assert_eq!(
         probe.snapshot().unwrap().bytes[8],
-        2,
+        3,
         "a fleet must snapshot-refresh with the flat-arena format"
     );
 

@@ -38,7 +38,7 @@ fn exercise(transport: &dyn ShardTransport, fx: &kosr_core::figure1::Figure1) {
         vec![20, 21, 22]
     );
     let valid = transport.snapshot().unwrap();
-    assert_eq!(valid.bytes[8], 2, "a pull yields the flat-arena blob");
+    assert_eq!(valid.bytes[8], 3, "a pull yields the flat-arena blob");
     // The snapshot layout: 8 magic bytes, then the codec version byte.
     let mut bad_magic = valid.bytes.clone();
     bad_magic[0] ^= 0xFF;

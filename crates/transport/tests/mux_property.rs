@@ -285,10 +285,6 @@ fn slow_world(workers: usize) -> (Arc<KosrService>, Query) {
         Arc::new(IndexedGraph::build_default(g)),
         ServiceConfig {
             workers,
-            planner: kosr_service::PlannerConfig {
-                use_bounds: false,
-                ..Default::default()
-            },
             ..Default::default()
         },
     ));

@@ -141,4 +141,17 @@ fn main() {
     println!(
         "post-update: 200/200 re-verified bit-identical; {changed} answers changed by the closure"
     );
+
+    // Serving and publishing never build the category-pair lower-bound
+    // tables; only the library searches that take bounds do, on demand.
+    for j in 0..router.num_shards() {
+        for replica in router.local_replica_services(j) {
+            assert_eq!(
+                replica.indexed_graph().bounds.size_bytes(),
+                0,
+                "shard {j} built its bound tables"
+            );
+        }
+    }
+    assert_eq!(reference.indexed_graph().bounds.size_bytes(), 0);
 }
